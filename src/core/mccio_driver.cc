@@ -13,22 +13,8 @@ namespace mcio::core {
 
 using util::Extent;
 
-namespace {
-
-/// Metadata every rank contributes before the decisions are made.
-struct Meta {
-  std::uint64_t offset = 0;
-  std::uint64_t len = 0;           ///< bounds length
-  std::uint64_t data_bytes = 0;    ///< actual request bytes
-  std::uint8_t is_virtual = 0;
-  std::int32_t node = 0;
-  std::uint64_t node_available = 0;  ///< Mem_avl of the reporting node
-};
-
-}  // namespace
-
-io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
-                                         const io::AccessPlan& plan) const {
+MccioDriver::Meta MccioDriver::meta_of(const io::CollContext& ctx,
+                                       const io::AccessPlan& plan) {
   const Extent bounds = plan.bounds();
   Meta mine;
   mine.offset = bounds.offset;
@@ -37,12 +23,48 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
   mine.is_virtual = plan.buffer.is_virtual() ? 1 : 0;
   mine.node = ctx.comm->node_of(ctx.comm->rank());
   mine.node_available = ctx.memory->available(mine.node);
+  return mine;
+}
+
+bool MccioDriver::plan_reads_live_memory(const io::CollContext& ctx) const {
+  const node::FaultPlan* faults = ctx.memory->fault_plan();
+  return faults != nullptr && config_.memory_aware &&
+         ctx.hints.borrow_far_memory && faults->num_exhausted() > 0;
+}
+
+std::shared_ptr<const io::ExchangePlan> MccioDriver::shared_plan(
+    io::CollContext& ctx, const io::AccessPlan& plan) const {
   // With node leaders on, the metadata allgather itself goes hierarchical:
   // O(nodes) NIC messages instead of O(ranks).
-  const auto all = ctx.hints.cb_node_leaders
-                       ? ctx.comm->allgather_hier(mine)
-                       : ctx.comm->allgather(mine);
+  const auto all = ctx.comm->allgather_shared(meta_of(ctx, plan),
+                                              ctx.hints.cb_node_leaders);
+  // Every rank agrees on this (shared fault plan, hints and config), so
+  // either all ranks or none take the global-class yield.
+  if (plan_reads_live_memory(ctx)) ctx.rank->actor().sync();
+  auto xplan = all->derive<io::ExchangePlan>([&] {
+    return io::share_plan(plan_from(all->as<Meta>(), ctx.hints,
+                                    ctx.fs->config().stripe_unit,
+                                    *ctx.memory),
+                          *ctx.comm, ctx.hints.cb_node_leaders);
+  });
+  // Plan-time degradation counters, recorded once per collective (stats
+  // are shared).
+  if (ctx.stats != nullptr && ctx.comm->rank() == 0 &&
+      (xplan->remerges > 0 || xplan->exhausted_nodes > 0)) {
+    ctx.stats->record_plan_degradation(xplan->remerges,
+                                       xplan->exhausted_nodes);
+  }
+  return xplan;
+}
 
+io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
+                                         const io::AccessPlan& plan) const {
+  return *shared_plan(ctx, plan);
+}
+
+io::ExchangePlan MccioDriver::plan_from(
+    std::span<const Meta> all, const io::Hints& hints,
+    std::uint64_t stripe_unit, const node::MemoryManager& memory) const {
   io::ExchangePlan xplan;
   xplan.rank_bounds.reserve(all.size());
   std::vector<int> rank_nodes;
@@ -78,7 +100,7 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
       std::unique(nodes_with_data.begin(), nodes_with_data.end()),
       nodes_with_data.end());
 
-  const std::uint64_t stripe = ctx.fs->config().stripe_unit;
+  const std::uint64_t stripe = stripe_unit;
 
   // Resolve the auto parameters.
   const std::uint64_t msg_ind = std::max<std::uint64_t>(config_.msg_ind, 1);
@@ -170,7 +192,7 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
   // which only stays single-copy if every co-located data rank shuffles
   // within one group's domains. divide_groups cuts on node boundaries by
   // construction; keep that invariant loud.
-  if (ctx.hints.cb_node_leaders) {
+  if (hints.cb_node_leaders) {
     std::map<int, std::size_t> node_group;
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
       for (const int r : groups[gi].ranks) {
@@ -191,7 +213,7 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
   // qualifies, the classic leaf search with remerging (§3.2/§3.3) places
   // domains on whatever memory exists.
   std::vector<int> node_aggregators(node_available.size(), 0);
-  const node::FaultPlan* faults = ctx.memory->fault_plan();
+  const node::FaultPlan* faults = memory.fault_plan();
   std::uint64_t remerges = 0;
 
   // Plan-time last resort of the degradation ladder, decided up front so
@@ -224,12 +246,11 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
       }
       if (!all_exhausted) continue;
       const std::uint64_t rescue_want = std::min<std::uint64_t>(
-          msg_ind, std::max<std::uint64_t>(
-                       stripe, ctx.hints.fault_shrink_floor));
-      if (ctx.hints.borrow_far_memory &&
-          ctx.memory->elect_donor(
+          msg_ind, std::max<std::uint64_t>(stripe, hints.fault_shrink_floor));
+      if (hints.borrow_far_memory &&
+          memory.elect_donor(
               rank_nodes[static_cast<std::size_t>(group.ranks.front())],
-              rescue_want, ctx.hints.borrow_donor_reserve) >= 0) {
+              rescue_want, hints.borrow_donor_reserve) >= 0) {
         continue;
       }
       group_dead[gi] = true;
@@ -358,18 +379,10 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
     }
   }
 
-  // Plan-time degradation counters, recorded once (build_plan runs on
-  // every rank with identical inputs; stats are shared).
-  if (ctx.stats != nullptr && ctx.comm->rank() == 0 &&
-      (remerges > 0 || faults != nullptr)) {
-    std::uint64_t exhausted = 0;
-    if (faults != nullptr) {
-      for (const int n : nodes_with_data) {
-        if (faults->exhausted(n)) ++exhausted;
-      }
-    }
-    if (remerges > 0 || exhausted > 0) {
-      ctx.stats->record_plan_degradation(remerges, exhausted);
+  xplan.remerges = remerges;
+  if (faults != nullptr) {
+    for (const int n : nodes_with_data) {
+      if (faults->exhausted(n)) ++xplan.exhausted_nodes;
     }
   }
   return xplan;
@@ -388,8 +401,8 @@ bool is_fallback(const io::ExchangePlan& xplan, int rank) {
 void MccioDriver::write_all(io::CollContext& ctx,
                             const io::AccessPlan& plan) {
   plan.validate();
-  io::ExchangePlan xplan = build_plan(ctx, plan);
-  const bool fallback = is_fallback(xplan, ctx.comm->rank());
+  auto xplan = shared_plan(ctx, plan);
+  const bool fallback = is_fallback(*xplan, ctx.comm->rank());
   // Every rank constructs the exchange (tag reservation is collective);
   // fallback ranks then bypass it and write their plan independently.
   io::TwoPhaseExchange exchange(ctx, plan, std::move(xplan));
@@ -405,8 +418,8 @@ void MccioDriver::write_all(io::CollContext& ctx,
 void MccioDriver::read_all(io::CollContext& ctx,
                            const io::AccessPlan& plan) {
   plan.validate();
-  io::ExchangePlan xplan = build_plan(ctx, plan);
-  const bool fallback = is_fallback(xplan, ctx.comm->rank());
+  auto xplan = shared_plan(ctx, plan);
+  const bool fallback = is_fallback(*xplan, ctx.comm->rank());
   io::TwoPhaseExchange exchange(ctx, plan, std::move(xplan));
   if (fallback) {
     if (ctx.stats != nullptr) ctx.stats->record_fallback(plan.total_bytes());

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/mccio_driver.h"
+#include "fuzz/plan_check.h"
 #include "io/independent.h"
 #include "io/mpi_file.h"
 #include "io/two_phase_driver.h"
@@ -158,6 +159,8 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
 
   std::vector<std::uint64_t> rank_read_hash(
       static_cast<std::size_t>(scenario.nranks), kFnvOffset);
+  std::vector<std::string> rank_plan_error(
+      static_cast<std::size_t>(scenario.nranks));
   pfs::FileHandle handle = -1;
 
   try {
@@ -185,6 +188,18 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
       rank.world().barrier();
       rank_read_hash[static_cast<std::size_t>(rank.rank())] =
           fnv1a(kFnvOffset, rstorage.data(), rstorage.size());
+
+      // Cross-check the collective's shared plan against every rank's own
+      // recompute, after the data path so its timeline is untouched.
+      io::CollContext ctx;
+      ctx.rank = &rank;
+      ctx.comm = &rank.world();
+      ctx.fs = &fs;
+      ctx.file = file.handle();
+      ctx.memory = &memory;
+      ctx.hints = hints;
+      rank_plan_error[static_cast<std::size_t>(rank.rank())] =
+          check_shared_plan(ctx, wplan, *driver);
     });
     out.completed = true;
   } catch (const std::exception& e) {
@@ -213,6 +228,12 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
       }
     }
     out.read_hash = rh;
+    for (const std::string& e : rank_plan_error) {
+      if (!e.empty()) {
+        out.plan_error = e;
+        break;
+      }
+    }
 
     std::string err;
     out.pattern_ok = workloads::verify_store(
@@ -238,7 +259,10 @@ DiffResult run_differential(const Scenario& scenario,
 bool DiffResult::ok() const {
   const RunOutcome& ref = run(DriverKind::kTwoPhase);
   for (const RunOutcome& r : runs) {
-    if (!r.completed || !r.findings.empty() || !r.pattern_ok) return false;
+    if (!r.completed || !r.findings.empty() || !r.pattern_ok ||
+        !r.plan_error.empty()) {
+      return false;
+    }
     if (r.file_hash != ref.file_hash || r.read_hash != ref.read_hash) {
       return false;
     }
@@ -256,6 +280,7 @@ std::string DiffResult::classify() const {
     if (!r.findings.empty()) {
       return std::string("findings:") + name + ":" + r.findings[0].kind;
     }
+    if (!r.plan_error.empty()) return std::string("plan-share:") + name;
   }
   const RunOutcome& ref = run(DriverKind::kTwoPhase);
   for (int i = 0; i < 3; ++i) {
@@ -291,6 +316,7 @@ std::string DiffResult::describe() const {
     os << "file=" << std::hex << r.file_hash << " read=" << r.read_hash
        << std::dec;
     if (!r.pattern_ok) os << " pattern: " << r.pattern_error;
+    if (!r.plan_error.empty()) os << " plan: " << r.plan_error;
     if (r.tolerated_duplicates > 0) {
       os << " (tolerated " << r.tolerated_duplicates
          << " overlap duplicates)";

@@ -12,7 +12,10 @@
 //   3. The absolute pattern check: file bytes equal the deterministic
 //      workloads::pattern over every planned extent (catches a bug shared
 //      by all three drivers).
-//   4. Zero verify::Auditor findings. Exception: "byte-duplicate" is
+//   4. The plan cross-check (plan_check.h): on every rank, the collective
+//      drivers' one shared plan equals the rank's own recompute, and every
+//      rank holds the same plan object.
+//   5. Zero verify::Auditor findings. Exception: "byte-duplicate" is
 //      tolerated when the scenario plans the same byte from two ranks —
 //      "written exactly once" is not well-defined for overlapping plans
 //      (the independent baseline writes overlaps twice by design).
@@ -42,6 +45,8 @@ struct RunOutcome {
   std::uint64_t read_hash = 0;
   bool pattern_ok = false;
   std::string pattern_error;
+  /// First plan cross-check failure (plan_check.h); empty when clean.
+  std::string plan_error;
   /// Auditor findings attributed to this run (already filtered of
   /// tolerated overlap duplicates; see header comment).
   std::vector<verify::Finding> findings;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <map>
 
 #ifdef MCIO_FUZZ_BUG
 #include <cstdlib>
@@ -77,6 +76,44 @@ void ExchangePlan::validate(int comm_size) const {
   }
 }
 
+std::shared_ptr<const ExchangePlan> share_plan(ExchangePlan xplan,
+                                               const mpi::Comm& comm,
+                                               bool node_leaders) {
+  xplan.validate(comm.size());
+  xplan.node_leaders = node_leaders && comm.size() > 1;
+  if (xplan.node_leaders) {
+    // Data ranks (non-empty bounds) by physical node; a node's lowest data
+    // rank leads it. Independent-fallback and idle ranks stay outside the
+    // client-side hierarchy entirely — a fully exhausted node simply has
+    // no group — though any rank may still serve as an aggregator.
+    for (const std::vector<int>& node : comm.node_groups()) {
+      NodeGroup g;
+      for (const int r : node) {
+        if (!xplan.rank_bounds[static_cast<std::size_t>(r)].empty()) {
+          g.members.push_back(r);
+        }
+      }
+      if (g.members.empty()) continue;
+      g.leader = g.members.front();
+      xplan.node_groups.push_back(std::move(g));
+    }
+    // A node's first rank may be idle, so data leaders need not keep the
+    // communicator's node order.
+    std::sort(xplan.node_groups.begin(), xplan.node_groups.end(),
+              [](const NodeGroup& a, const NodeGroup& b) {
+                return a.leader < b.leader;
+              });
+    xplan.node_group_of.assign(static_cast<std::size_t>(comm.size()), -1);
+    for (std::size_t gi = 0; gi < xplan.node_groups.size(); ++gi) {
+      for (const int m : xplan.node_groups[gi].members) {
+        xplan.node_group_of[static_cast<std::size_t>(m)] =
+            static_cast<int>(gi);
+      }
+    }
+  }
+  return std::make_shared<const ExchangePlan>(std::move(xplan));
+}
+
 TwoPhaseExchange::PieceCursor::PieceCursor(
     const std::vector<Extent>& extents)
     : extents_(extents) {}
@@ -103,12 +140,17 @@ void TwoPhaseExchange::PieceCursor::advance(const Extent& window,
 }
 
 TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
-                                   ExchangePlan xplan)
-    : ctx_(ctx), plan_(plan), xplan_(std::move(xplan)) {
+                                   std::shared_ptr<const ExchangePlan> xplan)
+    : ctx_(ctx),
+      plan_(plan),
+      shared_plan_(std::move(xplan)),
+      xplan_(*shared_plan_) {
   MCIO_CHECK(ctx_.comm != nullptr);
   MCIO_CHECK(ctx_.fs != nullptr);
   MCIO_CHECK(ctx_.memory != nullptr);
-  xplan_.validate(ctx_.comm->size());
+  // share_plan() validated the plan once for every rank.
+  MCIO_CHECK_EQ(xplan_.rank_bounds.size(),
+                static_cast<std::size_t>(ctx_.comm->size()));
   // The MemoryManager is shared by every rank, so all ranks agree on the
   // protocol variant (and reserve the same tags below).
   degraded_ = ctx_.memory->faults_enabled();
@@ -132,6 +174,8 @@ TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
   // every rank, so the extra tag reservations stay collective; with the
   // hint off nothing below runs and the flat tag sequence is untouched.
   hier_ = ctx_.hints.cb_node_leaders && ctx_.comm->size() > 1;
+  MCIO_CHECK_MSG(xplan_.node_leaders == hier_,
+                 "exchange plan sealed for a different node-leader hint");
   if (hier_) {
     tag_hier_lists_ = ctx_.comm->reserve_tags(1);
     if (degraded_) tag_hier_wsize_ = ctx_.comm->reserve_tags(1);
@@ -143,29 +187,12 @@ TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
 }
 
 void TwoPhaseExchange::build_hierarchy() {
-  // Group data ranks (non-empty bounds) by physical node; a node's lowest
-  // data rank leads it. Independent-fallback and idle ranks stay outside
-  // the client-side hierarchy entirely — a fully exhausted node simply has
-  // no group — though any rank may still serve as an aggregator.
-  std::map<int, std::vector<int>> by_node;
-  for (int s = 0; s < ctx_.comm->size(); ++s) {
-    if (xplan_.rank_bounds[static_cast<std::size_t>(s)].empty()) continue;
-    by_node[ctx_.comm->node_of(s)].push_back(s);
-  }
-  groups_hier_.reserve(by_node.size());
-  for (auto& [node, members] : by_node) {
-    groups_hier_.push_back(NodeGroup{members.front(), std::move(members)});
-  }
-  std::sort(groups_hier_.begin(), groups_hier_.end(),
-            [](const NodeGroup& a, const NodeGroup& b) {
-              return a.leader < b.leader;
-            });
-  for (const NodeGroup& g : groups_hier_) {
-    if (std::binary_search(g.members.begin(), g.members.end(), my_rank())) {
-      members_ = g.members;
-      my_leader_ = g.leader;
-      break;
-    }
+  // The node groups come sealed with the shared plan.
+  const int gi = xplan_.node_group_of[static_cast<std::size_t>(my_rank())];
+  if (gi >= 0) {
+    const NodeGroup& g = xplan_.node_groups[static_cast<std::size_t>(gi)];
+    members_ = g.members;
+    my_leader_ = g.leader;
   }
   is_leader_ = my_leader_ == my_rank();
   if (!is_leader_) return;
@@ -192,7 +219,7 @@ void TwoPhaseExchange::direct_sources(const FileDomain& d,
     return;
   }
   // Groups ascend by leader, so the appended set stays sorted.
-  for (const NodeGroup& g : groups_hier_) {
+  for (const NodeGroup& g : xplan_.node_groups) {
     for (const int m : g.members) {
       if (util::intersect(xplan_.rank_bounds[static_cast<std::size_t>(m)],
                           d.extent)) {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,9 +33,19 @@ struct FileDomain {
   friend bool operator==(const FileDomain&, const FileDomain&) = default;
 };
 
-/// The decisions a driver hands to the exchange engine. Every rank of the
-/// communicator must pass an identical ExchangePlan (drivers compute it
-/// from allgathered metadata, so this holds by construction).
+/// One physical node's data ranks (hierarchical mode): the lowest rank is
+/// the leader; independent-fallback and idle ranks are excluded.
+struct NodeGroup {
+  int leader = -1;
+  std::vector<int> members;  ///< ascending comm ranks, leader first
+
+  friend bool operator==(const NodeGroup&, const NodeGroup&) = default;
+};
+
+/// The decisions a driver hands to the exchange engine. One collective
+/// has exactly one: the drivers compute it once from the shared
+/// allgather result (mpi/gathered.h) and every rank's exchange holds the
+/// same immutable object, sealed by share_plan().
 struct ExchangePlan {
   std::vector<FileDomain> domains;  ///< sorted by offset, disjoint
   /// Per-rank request bounds (len 0 = rank has no data). Used to decide
@@ -50,9 +61,30 @@ struct ExchangePlan {
   /// rank_bounds entries are empty — they take no part in the shuffle —
   /// and the owning driver performs their I/O outside the exchange.
   std::vector<int> independent_ranks;
+  /// Plan-time degradation counts (MCCIO): domains remerged away from
+  /// memory-poor hosts, and exhausted data-bearing nodes. Rank 0 records
+  /// them into the collective's stats.
+  std::uint64_t remerges = 0;
+  std::uint64_t exhausted_nodes = 0;
+
+  /// Set by share_plan() for the node-leader hierarchy: the data ranks
+  /// grouped by node (ascending by leader), and each rank's index into
+  /// node_groups (-1 = no data, so no group).
+  bool node_leaders = false;
+  std::vector<NodeGroup> node_groups;
+  std::vector<int> node_group_of;
 
   void validate(int comm_size) const;
+
+  friend bool operator==(const ExchangePlan&, const ExchangePlan&) = default;
 };
+
+/// Seals a plan for sharing: validates it once and, when `node_leaders`
+/// is set on a multi-rank communicator, derives the hierarchy's node
+/// groups from its rank bounds and the communicator's node grouping.
+std::shared_ptr<const ExchangePlan> share_plan(ExchangePlan xplan,
+                                               const mpi::Comm& comm,
+                                               bool node_leaders);
 
 // The graceful-degradation ladder — authoritative rung table. Every
 // other description (collective_stats.h, DESIGN.md §11, bench/README
@@ -80,11 +112,12 @@ struct ExchangePlan {
 //           fallback       exchange and write/read independently
 //                          (fallback_ranks, fallback_bytes)
 
-/// Runs one collective write or read. Construct per operation.
+/// Runs one collective write or read. Construct per operation, on every
+/// rank, from the collective's one shared plan.
 class TwoPhaseExchange {
  public:
   TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
-                   ExchangePlan xplan);
+                   std::shared_ptr<const ExchangePlan> xplan);
 
   void write();
   void read();
@@ -145,13 +178,6 @@ class TwoPhaseExchange {
     /// buffer is local.
     int borrow_donor = -1;
     bool borrowed() const { return borrow_donor >= 0; }
-  };
-
-  /// One physical node's data ranks (hierarchical mode): the lowest rank
-  /// is the leader; independent-fallback and idle ranks are excluded.
-  struct NodeGroup {
-    int leader = -1;
-    std::vector<int> members;  ///< ascending comm ranks, leader first
   };
 
   /// Leader-side state for one domain this node's members touch.
@@ -260,7 +286,8 @@ class TwoPhaseExchange {
 
   CollContext& ctx_;
   const AccessPlan& plan_;
-  ExchangePlan xplan_;
+  std::shared_ptr<const ExchangePlan> shared_plan_;
+  const ExchangePlan& xplan_;  ///< *shared_plan_
   int tag_lists_ = 0;
   int tag_data_base_ = 0;
   /// Domains this rank serves as aggregator, ascending by index.
@@ -285,8 +312,6 @@ class TwoPhaseExchange {
   int tag_hier_lists_ = 0;
   int tag_hier_wsize_ = 0;
   int tag_hier_data_base_ = 0;
-  /// All node groups, ascending by leader rank (identical on every rank).
-  std::vector<NodeGroup> groups_hier_;
   /// My node's group (data ranks only; empty when I have no data).
   std::vector<int> members_;
   int my_leader_ = -1;

@@ -1,7 +1,6 @@
 #include "io/two_phase_driver.h"
 
 #include <algorithm>
-#include <set>
 
 #include "io/independent.h"
 #include "util/check.h"
@@ -11,12 +10,6 @@ namespace mcio::io {
 using util::Extent;
 
 namespace {
-
-struct BoundsMsg {
-  std::uint64_t offset = 0;
-  std::uint64_t len = 0;
-  std::uint8_t is_virtual = 0;
-};
 
 std::uint64_t round_up(std::uint64_t v, std::uint64_t unit) {
   return unit == 0 ? v : (v + unit - 1) / unit * unit;
@@ -39,10 +32,13 @@ bool all_nodes_exhausted(const CollContext& ctx) {
 std::vector<int> TwoPhaseDriver::default_aggregators(const mpi::Comm& comm,
                                                      int cb_nodes) {
   std::vector<int> aggs;
-  std::set<int> seen;
+  std::vector<bool> seen;  // per node
   for (int r = 0; r < comm.size(); ++r) {
-    const int node = comm.node_of(r);
-    if (seen.insert(node).second) aggs.push_back(r);
+    const auto node = static_cast<std::size_t>(comm.node_of(r));
+    if (node >= seen.size()) seen.resize(node + 1, false);
+    if (seen[node]) continue;
+    seen[node] = true;
+    aggs.push_back(r);
   }
   if (cb_nodes > 0 && static_cast<int>(aggs.size()) > cb_nodes) {
     aggs.resize(static_cast<std::size_t>(cb_nodes));
@@ -50,24 +46,40 @@ std::vector<int> TwoPhaseDriver::default_aggregators(const mpi::Comm& comm,
   return aggs;
 }
 
-ExchangePlan TwoPhaseDriver::build_plan(CollContext& ctx,
-                                        const AccessPlan& plan) {
+TwoPhaseDriver::Meta TwoPhaseDriver::meta_of(const AccessPlan& plan) {
   const Extent bounds = plan.bounds();
-  BoundsMsg mine{bounds.offset, bounds.len,
-                 static_cast<std::uint8_t>(
-                     plan.buffer.is_virtual() ? 1 : 0)};
+  return Meta{bounds.offset, bounds.len,
+              static_cast<std::uint8_t>(plan.buffer.is_virtual() ? 1 : 0)};
+}
+
+std::shared_ptr<const ExchangePlan> TwoPhaseDriver::shared_plan(
+    CollContext& ctx, const AccessPlan& plan) {
   // With node leaders on, the metadata allgather itself goes hierarchical:
   // O(nodes) NIC messages instead of O(ranks).
-  const auto all = ctx.hints.cb_node_leaders
-                       ? ctx.comm->allgather_hier(mine)
-                       : ctx.comm->allgather(mine);
+  const auto all =
+      ctx.comm->allgather_shared(meta_of(plan), ctx.hints.cb_node_leaders);
+  return all->derive<ExchangePlan>([&] {
+    return share_plan(plan_from(all->as<Meta>(), *ctx.comm, ctx.hints,
+                                ctx.fs->config().stripe_unit),
+                      *ctx.comm, ctx.hints.cb_node_leaders);
+  });
+}
 
+ExchangePlan TwoPhaseDriver::build_plan(CollContext& ctx,
+                                        const AccessPlan& plan) {
+  return *shared_plan(ctx, plan);
+}
+
+ExchangePlan TwoPhaseDriver::plan_from(std::span<const Meta> all,
+                                       const mpi::Comm& comm,
+                                       const Hints& hints,
+                                       std::uint64_t stripe_unit) {
   ExchangePlan xplan;
   xplan.rank_bounds.reserve(all.size());
   bool any_virtual = false;
   std::uint64_t gmin = UINT64_MAX;
   std::uint64_t gmax = 0;
-  for (const BoundsMsg& b : all) {
+  for (const Meta& b : all) {
     xplan.rank_bounds.push_back(Extent{b.offset, b.len});
     if (b.len > 0) {
       any_virtual = any_virtual || b.is_virtual != 0;
@@ -79,12 +91,10 @@ ExchangePlan TwoPhaseDriver::build_plan(CollContext& ctx,
   xplan.num_groups = 1;
   if (gmax <= gmin) return xplan;  // nothing to do anywhere
 
-  const auto aggs = default_aggregators(*ctx.comm, ctx.hints.cb_nodes);
+  const auto aggs = default_aggregators(comm, hints.cb_nodes);
   const auto naggs = static_cast<std::uint64_t>(aggs.size());
   std::uint64_t fd_size = (gmax - gmin + naggs - 1) / naggs;
-  if (ctx.hints.align_file_domains) {
-    fd_size = round_up(fd_size, ctx.fs->config().stripe_unit);
-  }
+  if (hints.align_file_domains) fd_size = round_up(fd_size, stripe_unit);
   fd_size = std::max<std::uint64_t>(fd_size, 1);
   for (std::uint64_t i = 0; i < naggs; ++i) {
     const std::uint64_t start = gmin + i * fd_size;
@@ -93,7 +103,7 @@ ExchangePlan TwoPhaseDriver::build_plan(CollContext& ctx,
     FileDomain d;
     d.extent = Extent{start, len};
     d.aggregator = aggs[static_cast<std::size_t>(i)];
-    d.buffer_bytes = ctx.hints.cb_buffer_size;
+    d.buffer_bytes = hints.cb_buffer_size;
     xplan.domains.push_back(d);
   }
   return xplan;
@@ -106,7 +116,7 @@ void TwoPhaseDriver::write_all(CollContext& ctx, const AccessPlan& plan) {
     independent_write(ctx, plan);
     return;
   }
-  TwoPhaseExchange exchange(ctx, plan, build_plan(ctx, plan));
+  TwoPhaseExchange exchange(ctx, plan, shared_plan(ctx, plan));
   exchange.write();
 }
 
@@ -117,7 +127,7 @@ void TwoPhaseDriver::read_all(CollContext& ctx, const AccessPlan& plan) {
     independent_read(ctx, plan);
     return;
   }
-  TwoPhaseExchange exchange(ctx, plan, build_plan(ctx, plan));
+  TwoPhaseExchange exchange(ctx, plan, shared_plan(ctx, plan));
   exchange.read();
 }
 

@@ -5,8 +5,8 @@
 // results fan back out over shm — O(nodes) NIC messages instead of
 // O(ranks).
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
-#include <map>
 
 #include "mpi/comm.h"
 #include "mpi/machine.h"
@@ -18,8 +18,8 @@ namespace {
 
 // Gathers carry a flat wire bundle: u64 count, then per item u64 rank,
 // u64 length, raw bytes. The bundle stays flat through every tree stage —
-// splicing a child's items is one memcpy — and is parsed exactly once at
-// the consumer, instead of exploding into per-item vectors at every hop.
+// splicing a child's items is one memcpy — and is parsed exactly once, at
+// the root, into the Gathered result every rank then shares.
 std::uint64_t read_u64(const std::vector<std::byte>& in, std::size_t& pos) {
   MCIO_CHECK_LE(pos + sizeof(std::uint64_t), in.size());
   std::uint64_t v = 0;
@@ -34,6 +34,47 @@ void write_u64_at(std::vector<std::byte>& out, std::size_t pos,
 }
 
 }  // namespace
+
+Gathered::Gathered(const std::vector<std::byte>& wire, int comm_size) {
+  std::size_t pos = 0;
+  const std::uint64_t count = read_u64(wire, pos);
+  MCIO_CHECK_EQ(count, static_cast<std::uint64_t>(comm_size));
+  // Index the items by rank, then pack them back to back in rank order.
+  std::vector<std::size_t> at(static_cast<std::size_t>(count), SIZE_MAX);
+  std::vector<std::uint64_t> len(static_cast<std::size_t>(count), 0);
+  std::uint64_t total = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t r = read_u64(wire, pos);
+    const std::uint64_t n = read_u64(wire, pos);
+    MCIO_CHECK_LT(r, count);
+    MCIO_CHECK_MSG(at[r] == SIZE_MAX, "rank " << r << " gathered twice");
+    MCIO_CHECK_LE(pos + n, wire.size());
+    at[r] = pos;
+    len[r] = n;
+    total += n;
+    pos += n;
+  }
+  data_.resize(total);
+  offsets_.resize(static_cast<std::size_t>(count) + 1, 0);
+  item_bytes_ = count > 0 ? static_cast<std::int64_t>(len[0]) : 0;
+  for (std::size_t r = 0; r < at.size(); ++r) {
+    offsets_[r + 1] = offsets_[r] + len[r];
+    if (len[r] > 0) {
+      std::memcpy(data_.data() + offsets_[r], wire.data() + at[r], len[r]);
+    }
+    if (static_cast<std::int64_t>(len[r]) != item_bytes_) item_bytes_ = -1;
+  }
+  wire_bytes_ = wire.size();
+}
+
+std::vector<std::vector<std::byte>> Gathered::blobs() const {
+  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(size()));
+  for (int r = 0; r < size(); ++r) {
+    const auto b = item(r);
+    out[static_cast<std::size_t>(r)].assign(b.begin(), b.end());
+  }
+  return out;
+}
 
 void Comm::barrier() {
   const int tag = next_coll_tag();
@@ -105,30 +146,15 @@ std::vector<std::byte> Comm::tree_gather_wire(
   return acc;  // full bundle at root, empty elsewhere
 }
 
-void Comm::parse_wire(const std::vector<std::byte>& wire,
-                      std::uint64_t elem_size, std::byte* out) {
-  std::size_t pos = 0;
-  const std::uint64_t count = read_u64(wire, pos);
-  MCIO_CHECK_EQ(count, static_cast<std::uint64_t>(size()));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t r = read_u64(wire, pos);
-    const std::uint64_t len = read_u64(wire, pos);
-    MCIO_CHECK_LT(r, count);
-    MCIO_CHECK_EQ(len, elem_size);
-    MCIO_CHECK_LE(pos + len, wire.size());
-    std::memcpy(out + r * elem_size, wire.data() + pos, len);
-    pos += len;
-  }
-}
-
-void Comm::tree_bcast_blob(int tag, int root, std::vector<std::byte>& blob) {
+void Comm::tree_bcast_shared(int tag, int root,
+                             std::shared_ptr<const Gathered>& result) {
   const int p = size();
   const int relative = (rank() - root + p) % p;
   int mask = 1;
   while (mask < p) {
     if (relative & mask) {
       const int src = (relative - mask + root) % p;
-      blob = recv_blob(src, tag);
+      result = recv_shared(src, tag);
       break;
     }
     mask <<= 1;
@@ -137,73 +163,44 @@ void Comm::tree_bcast_blob(int tag, int root, std::vector<std::byte>& blob) {
   while (mask > 0) {
     if (relative + mask < p) {
       const int dst = (relative + mask + root) % p;
-      send_blob(dst, tag, blob);
+      send_shared(dst, tag, result);
     }
     mask >>= 1;
   }
 }
 
-std::vector<std::vector<std::byte>> Comm::gather_blobs(
+std::shared_ptr<const Gathered> Comm::gather_bytes(
     std::span<const std::byte> mine, int root) {
   const auto wire = tree_gather_wire(next_coll_tag(), root, mine);
-  std::vector<std::vector<std::byte>> per_rank(
-      static_cast<std::size_t>(size()));
-  if (rank() == root) {
-    std::size_t pos = 0;
-    const std::uint64_t count = read_u64(wire, pos);
-    MCIO_CHECK_EQ(count, static_cast<std::uint64_t>(size()));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t r = read_u64(wire, pos);
-      const std::uint64_t len = read_u64(wire, pos);
-      MCIO_CHECK_LT(r, count);
-      MCIO_CHECK_LE(pos + len, wire.size());
-      per_rank[r].assign(wire.begin() + static_cast<std::ptrdiff_t>(pos),
-                         wire.begin() + static_cast<std::ptrdiff_t>(pos + len));
-      pos += len;
-    }
-  }
-  return per_rank;
+  if (rank() != root) return nullptr;
+  return std::make_shared<const Gathered>(wire, size());
 }
 
-std::vector<std::byte> Comm::allgather_wire(std::span<const std::byte> mine) {
-  // Gather the flat bundle at rank 0, then broadcast it verbatim. The
-  // bundle lists items in tree-arrival order rather than rank order (the
-  // historical broadcast repacked by rank); consumers index by the rank
-  // key and the byte count on every hop is unchanged, so neither results
-  // nor simulated timing can tell the difference.
-  auto wire = tree_gather_wire(next_coll_tag(), 0, mine);
-  tree_bcast_blob(next_coll_tag(), 0, wire);
-  return wire;
+std::vector<std::vector<std::byte>> Comm::gather_blobs(
+    std::span<const std::byte> mine, int root) {
+  const auto all = gather_bytes(mine, root);
+  if (all == nullptr) {
+    return std::vector<std::vector<std::byte>>(
+        static_cast<std::size_t>(size()));
+  }
+  return all->blobs();
+}
+
+std::shared_ptr<const Gathered> Comm::allgather_bytes(
+    std::span<const std::byte> mine, bool hier) {
+  if (hier) return allgather_bytes_hier(mine);
+  // Gather the flat bundle at rank 0, parse it there once, then broadcast
+  // the result by reference. Every hop still models the bundle's bytes
+  // (the historical broadcast forwarded the bundle verbatim), so results
+  // and simulated timing are unchanged.
+  std::shared_ptr<const Gathered> result = gather_bytes(mine, 0);
+  tree_bcast_shared(next_coll_tag(), 0, result);
+  return result;
 }
 
 std::vector<std::vector<std::byte>> Comm::allgather_blobs(
     std::span<const std::byte> mine) {
-  const auto wire = allgather_wire(mine);
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(size()));
-  std::size_t pos = 0;
-  const std::uint64_t count = read_u64(wire, pos);
-  MCIO_CHECK_EQ(count, static_cast<std::uint64_t>(size()));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t r = read_u64(wire, pos);
-    const std::uint64_t len = read_u64(wire, pos);
-    MCIO_CHECK_LT(r, count);
-    MCIO_CHECK_LE(pos + len, wire.size());
-    out[r].assign(wire.begin() + static_cast<std::ptrdiff_t>(pos),
-                  wire.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    pos += len;
-  }
-  return out;
-}
-
-void Comm::allgather_fixed(std::span<const std::byte> mine, std::byte* out) {
-  const auto wire = allgather_wire(mine);
-  parse_wire(wire, mine.size(), out);
-}
-
-void Comm::gather_fixed(std::span<const std::byte> mine, int root,
-                        std::byte* out) {
-  const auto wire = tree_gather_wire(next_coll_tag(), root, mine);
-  if (rank() == root) parse_wire(wire, mine.size(), out);
+  return allgather_bytes(mine, /*hier=*/false)->blobs();
 }
 
 std::vector<std::vector<std::byte>> Comm::alltoallv_blobs(
@@ -220,39 +217,15 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_blobs(
   return out;
 }
 
-std::vector<std::vector<int>> Comm::node_groups() const {
-  std::map<int, std::vector<int>> by_node;
-  for (int r = 0; r < size(); ++r) by_node[node_of(r)].push_back(r);
-  std::vector<std::vector<int>> groups;
-  groups.reserve(by_node.size());
-  for (auto& [node, ranks] : by_node) groups.push_back(std::move(ranks));
-  std::sort(groups.begin(), groups.end(),
-            [](const std::vector<int>& a, const std::vector<int>& b) {
-              return a.front() < b.front();
-            });
-  return groups;
-}
-
-std::size_t Comm::my_group_index(
-    const std::vector<std::vector<int>>& groups) const {
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (std::binary_search(groups[i].begin(), groups[i].end(), rank())) {
-      return i;
-    }
-  }
-  MCIO_CHECK_MSG(false, "rank " << rank() << " missing from node groups");
-  return 0;
-}
-
-std::vector<std::byte> Comm::allgather_wire_hier(
+std::shared_ptr<const Gathered> Comm::allgather_bytes_hier(
     std::span<const std::byte> mine) {
-  const auto groups = node_groups();
   const int t_up = next_coll_tag();
   const int t_gather = next_coll_tag();
   const int t_bcast = next_coll_tag();
   const int t_down = next_coll_tag();
-  const std::size_t my_li = my_group_index(groups);
-  const std::vector<int>& my_group = groups[my_li];
+  const auto& groups = group_->node_groups;
+  const int li = group_->group_of[static_cast<std::size_t>(rank())];
+  const std::vector<int>& my_group = groups[static_cast<std::size_t>(li)];
   const int leader = my_group.front();
 
   std::vector<std::byte> acc(3 * sizeof(std::uint64_t) + mine.size());
@@ -262,9 +235,9 @@ std::vector<std::byte> Comm::allgather_wire_hier(
   if (!mine.empty()) std::memcpy(acc.data() + 24, mine.data(), mine.size());
 
   if (rank() != leader) {
-    // Member: push my item up, then take the full bundle back down.
+    // Member: push my item up, then take the shared result back down.
     send_blob_shm(leader, t_up, acc);
-    return recv_blob(leader, t_down);
+    return recv_shared(leader, t_down);
   }
 
   // Leader: splice every member item into the node bundle.
@@ -281,7 +254,6 @@ std::vector<std::byte> Comm::allgather_wire_hier(
 
   // Inter-node binomial gather at the first leader.
   const int nl = static_cast<int>(groups.size());
-  const int li = static_cast<int>(my_li);
   int mask = 1;
   while (mask < nl) {
     if ((li & mask) == 0) {
@@ -299,18 +271,20 @@ std::vector<std::byte> Comm::allgather_wire_hier(
     } else {
       send_blob(groups[static_cast<std::size_t>(li & ~mask)].front(),
                 t_gather, acc);
-      acc.clear();
       break;
     }
     mask <<= 1;
   }
+  std::shared_ptr<const Gathered> result;
+  if (li == 0) result = std::make_shared<const Gathered>(acc, size());
+  acc = {};
 
-  // Binomial bcast of the full bundle across leaders (rooted at leader 0).
+  // Binomial bcast of the result across leaders (rooted at leader 0).
   mask = 1;
   while (mask < nl) {
     if (li & mask) {
-      acc = recv_blob(groups[static_cast<std::size_t>(li - mask)].front(),
-                      t_bcast);
+      result = recv_shared(
+          groups[static_cast<std::size_t>(li - mask)].front(), t_bcast);
       break;
     }
     mask <<= 1;
@@ -318,53 +292,35 @@ std::vector<std::byte> Comm::allgather_wire_hier(
   mask >>= 1;
   while (mask > 0) {
     if (li + mask < nl) {
-      send_blob(groups[static_cast<std::size_t>(li + mask)].front(), t_bcast,
-                acc);
+      send_shared(groups[static_cast<std::size_t>(li + mask)].front(),
+                  t_bcast, result);
     }
     mask >>= 1;
   }
 
-  // Fan the bundle out across the node.
+  // Fan the result out across the node.
   for (const int m : my_group) {
-    if (m != leader) send_blob_shm(m, t_down, acc);
+    if (m != leader) send_shared_shm(m, t_down, result);
   }
-  return acc;
-}
-
-void Comm::allgather_fixed_hier(std::span<const std::byte> mine,
-                                std::byte* out) {
-  const auto wire = allgather_wire_hier(mine);
-  parse_wire(wire, mine.size(), out);
+  return result;
 }
 
 std::vector<std::vector<std::byte>> Comm::allgather_blobs_hier(
     std::span<const std::byte> mine) {
-  const auto wire = allgather_wire_hier(mine);
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(size()));
-  std::size_t pos = 0;
-  const std::uint64_t count = read_u64(wire, pos);
-  MCIO_CHECK_EQ(count, static_cast<std::uint64_t>(size()));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t r = read_u64(wire, pos);
-    const std::uint64_t len = read_u64(wire, pos);
-    MCIO_CHECK_LT(r, count);
-    MCIO_CHECK_LE(pos + len, wire.size());
-    out[r].assign(wire.begin() + static_cast<std::ptrdiff_t>(pos),
-                  wire.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    pos += len;
-  }
-  return out;
+  return allgather_bytes_hier(mine)->blobs();
 }
 
 double Comm::allreduce_max_hier(double v) {
-  const auto all = allgather_hier(v);
+  const auto shared = allgather_shared(v, /*hier=*/true);
+  const auto all = shared->as<double>();
   double m = all.front();
   for (const double x : all) m = std::max(m, x);
   return m;
 }
 
 std::int64_t Comm::allreduce_max_hier(std::int64_t v) {
-  const auto all = allgather_hier(v);
+  const auto shared = allgather_shared(v, /*hier=*/true);
+  const auto all = shared->as<std::int64_t>();
   std::int64_t m = all.front();
   for (const std::int64_t x : all) m = std::max(m, x);
   return m;
@@ -373,11 +329,12 @@ std::int64_t Comm::allreduce_max_hier(std::int64_t v) {
 std::vector<std::vector<std::byte>> Comm::alltoallv_blobs_hier(
     std::span<const std::vector<std::byte>> to_each) {
   MCIO_CHECK_EQ(to_each.size(), static_cast<std::size_t>(size()));
-  const auto groups = node_groups();
+  const auto& groups = group_->node_groups;
   const int t_up = next_coll_tag();
   const int t_relay = next_coll_tag();
   const int t_down = next_coll_tag();
-  const std::size_t my_li = my_group_index(groups);
+  const auto my_li = static_cast<std::size_t>(
+      group_->group_of[static_cast<std::size_t>(rank())]);
   const std::vector<int>& my_group = groups[my_li];
   const int leader = my_group.front();
 
@@ -444,12 +401,6 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_blobs_hier(
   }
   write_u64_at(pool, 0, pool_count);
 
-  std::vector<int> li_of_rank(static_cast<std::size_t>(size()), 0);
-  for (std::size_t li = 0; li < groups.size(); ++li) {
-    for (const int r : groups[li]) {
-      li_of_rank[static_cast<std::size_t>(r)] = static_cast<int>(li);
-    }
-  }
   std::vector<std::vector<std::byte>> per_node(
       groups.size(), std::vector<std::byte>(sizeof(std::uint64_t)));
   std::vector<std::uint64_t> per_count(groups.size(), 0);
@@ -463,7 +414,7 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_blobs_hier(
       MCIO_CHECK_LT(dst, static_cast<std::uint64_t>(size()));
       MCIO_CHECK_LE(pos + len, pool.size());
       const auto li = static_cast<std::size_t>(
-          li_of_rank[static_cast<std::size_t>(dst)]);
+          group_->group_of[static_cast<std::size_t>(dst)]);
       std::vector<std::byte>& w = per_node[li];
       const std::size_t wpos = w.size();
       w.resize(wpos + 3 * sizeof(std::uint64_t) + len);
@@ -552,28 +503,32 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_blobs_hier(
 }
 
 double Comm::allreduce_max(double v) {
-  const auto all = allgather(v);
+  const auto shared = allgather_shared(v);
+  const auto all = shared->as<double>();
   double m = all.front();
   for (const double x : all) m = std::max(m, x);
   return m;
 }
 
 double Comm::allreduce_sum(double v) {
-  const auto all = allgather(v);
+  const auto shared = allgather_shared(v);
+  const auto all = shared->as<double>();
   double s = 0.0;
   for (const double x : all) s += x;
   return s;
 }
 
 std::int64_t Comm::allreduce_max(std::int64_t v) {
-  const auto all = allgather(v);
+  const auto shared = allgather_shared(v);
+  const auto all = shared->as<std::int64_t>();
   std::int64_t m = all.front();
   for (const std::int64_t x : all) m = std::max(m, x);
   return m;
 }
 
 std::int64_t Comm::allreduce_sum(std::int64_t v) {
-  const auto all = allgather(v);
+  const auto shared = allgather_shared(v);
+  const auto all = shared->as<std::int64_t>();
   std::int64_t s = 0;
   for (const std::int64_t x : all) s += x;
   return s;

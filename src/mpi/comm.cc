@@ -8,16 +8,16 @@
 namespace mcio::mpi {
 
 Comm::Comm(Machine* machine, Rank* owner,
-           std::shared_ptr<const std::vector<int>> members, int my_index,
+           std::shared_ptr<const CommGroup> group, int my_index,
            std::uint64_t comm_id)
     : machine_(machine),
       owner_(owner),
-      members_(std::move(members)),
+      group_(std::move(group)),
       my_index_(my_index),
       comm_id_(comm_id) {
   MCIO_CHECK_GE(my_index_, 0);
   MCIO_CHECK_LT(my_index_, size());
-  MCIO_CHECK_EQ((*members_)[static_cast<std::size_t>(my_index_)],
+  MCIO_CHECK_EQ(group_->members[static_cast<std::size_t>(my_index_)],
                 owner_->rank());
 }
 
@@ -145,9 +145,25 @@ bool Comm::test(const Request& request) const {
 }
 
 void Comm::send_blob(int dst, int tag, std::span<const std::byte> blob) {
+  send_framed(dst, tag,
+              util::OwnedPayload(util::ConstPayload::real(
+                  blob.empty() ? nullptr : blob.data(), blob.size())),
+              nullptr);
+}
+
+void Comm::send_shared(int dst, int tag,
+                       const std::shared_ptr<const Gathered>& result) {
+  send_framed(dst, tag,
+              util::OwnedPayload(
+                  util::ConstPayload::virtual_bytes(result->wire_bytes())),
+              result);
+}
+
+void Comm::send_framed(int dst, int tag, util::OwnedPayload body,
+                       std::shared_ptr<const Gathered> shared) {
   sim::Actor& actor = owner_->actor();
   const int wdst = world_rank(dst);
-  const std::uint64_t size = blob.size();
+  const std::uint64_t size = body.size();
   // Charge both transport passes of the historical two-message protocol
   // (size header, then body) so the simulated clock and resource state
   // are bit-identical; deliver the result as a single framed envelope.
@@ -168,9 +184,9 @@ void Comm::send_blob(int dst, int tag, std::span<const std::byte> blob) {
   env.comm_id = comm_id_;
   env.src = rank();
   env.tag = tag;
-  env.body = util::OwnedPayload(
-      util::ConstPayload::real(size > 0 ? blob.data() : nullptr, size));
+  env.body = std::move(body);
   env.framed = true;
+  env.shared = std::move(shared);
   // Arrival stamps resolve on the destination shard (deferred ingress
   // charges); deliver_framed reads them at apply time.
   machine_->deliver_framed(node_of(rank()), node_of(dst), wdst,
@@ -197,11 +213,28 @@ void Comm::send_shm(int dst, int tag, util::ConstPayload data) {
 }
 
 void Comm::send_blob_shm(int dst, int tag, std::span<const std::byte> blob) {
+  send_framed_shm(dst, tag,
+                  util::OwnedPayload(util::ConstPayload::real(
+                      blob.empty() ? nullptr : blob.data(), blob.size())),
+                  nullptr);
+}
+
+void Comm::send_shared_shm(int dst, int tag,
+                           const std::shared_ptr<const Gathered>& result) {
+  send_framed_shm(
+      dst, tag,
+      util::OwnedPayload(
+          util::ConstPayload::virtual_bytes(result->wire_bytes())),
+      result);
+}
+
+void Comm::send_framed_shm(int dst, int tag, util::OwnedPayload body,
+                           std::shared_ptr<const Gathered> shared) {
   sim::Actor& actor = owner_->actor();
   const int wdst = world_rank(dst);
   const int node = node_of(rank());
   MCIO_CHECK_EQ(node, node_of(dst));
-  const std::uint64_t size = blob.size();
+  const std::uint64_t size = body.size();
   // Same two-pass framing as send_blob (header then body) so a receiver
   // cannot tell which channel a blob crossed — only the charged resource
   // differs.
@@ -219,9 +252,9 @@ void Comm::send_blob_shm(int dst, int tag, std::span<const std::byte> blob) {
   env.comm_id = comm_id_;
   env.src = rank();
   env.tag = tag;
-  env.body = util::OwnedPayload(
-      util::ConstPayload::real(size > 0 ? blob.data() : nullptr, size));
+  env.body = std::move(body);
   env.framed = true;
+  env.shared = std::move(shared);
   env.header_arrival = header_arrival;
   env.arrival = arrival;
   machine_->deliver(wdst, std::move(env));
@@ -258,6 +291,8 @@ FramedBlob Comm::recv_blob_deferred(int src, int tag) {
   out.tag = env.tag;
   out.header_arrival = env.header_arrival;
   out.arrival = env.arrival;
+  out.size = env.body.size();
+  out.shared = std::move(env.shared);
   out.bytes = env.body.release();
   ep.release_slot(std::move(slot));
   return out;
@@ -270,19 +305,31 @@ void Comm::charge_blob(const FramedBlob& b, Status* status) {
   actor.advance_to(b.header_arrival);
   actor.advance(machine_->config().recv_overhead);
   Status st{b.source, b.tag, sizeof(std::uint64_t), b.header_arrival};
-  if (!b.bytes.empty()) {
+  if (b.size > 0) {
     actor.advance_to(b.arrival);
     actor.advance(machine_->config().recv_overhead);
     st.arrival = b.arrival;
-    st.bytes = b.bytes.size();
+    st.bytes = b.size;
   }
   if (status != nullptr) *status = st;
 }
 
 std::vector<std::byte> Comm::recv_blob(int src, int tag, Status* status) {
   FramedBlob b = recv_blob_deferred(src, tag);
+  MCIO_CHECK_MSG(b.shared == nullptr,
+                 "shared collective result consumed as bytes (tag " << tag
+                                                                    << ")");
   charge_blob(b, status);
   return std::move(b.bytes);
+}
+
+std::shared_ptr<const Gathered> Comm::recv_shared(int src, int tag) {
+  FramedBlob b = recv_blob_deferred(src, tag);
+  MCIO_CHECK_MSG(b.shared != nullptr,
+                 "byte blob consumed as a shared collective result (tag "
+                     << tag << ")");
+  charge_blob(b);
+  return std::move(b.shared);
 }
 
 Comm Comm::split(int color, int key) {
@@ -292,25 +339,27 @@ Comm Comm::split(int color, int key) {
     int key;
     int wrank;
   };
-  const auto items = allgather(Item{color, key, owner_->rank()});
+  const auto all = allgather_shared(Item{color, key, owner_->rank()});
   std::vector<Item> mine;
-  for (const Item& it : items) {
+  for (const Item& it : all->as<Item>()) {
     if (it.color == color) mine.push_back(it);
   }
   std::sort(mine.begin(), mine.end(), [](const Item& a, const Item& b) {
     return a.key != b.key ? a.key < b.key : a.wrank < b.wrank;
   });
-  auto members = std::make_shared<std::vector<int>>();
+  std::vector<int> members;
+  members.reserve(mine.size());
   int my_index = -1;
   for (const Item& it : mine) {
     if (it.wrank == owner_->rank()) {
-      my_index = static_cast<int>(members->size());
+      my_index = static_cast<int>(members.size());
     }
-    members->push_back(it.wrank);
+    members.push_back(it.wrank);
   }
   MCIO_CHECK_GE(my_index, 0);
-  const std::uint64_t id = machine_->intern_group(*members);
-  return Comm(machine_, owner_, std::move(members), my_index, id);
+  auto group = machine_->intern_group(std::move(members));
+  const std::uint64_t id = group->id;
+  return Comm(machine_, owner_, std::move(group), my_index, id);
 }
 
 Comm Comm::dup() {
@@ -322,7 +371,7 @@ Comm Comm::dup() {
     id = (1ull << 63) | (comm_id_ << 20) | (coll_seq_ & 0xfffffu);
   }
   bcast(id, 0);
-  return Comm(machine_, owner_, members_, my_index_, id);
+  return Comm(machine_, owner_, group_, my_index_, id);
 }
 
 }  // namespace mcio::mpi

@@ -6,11 +6,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
 
+#include "mpi/gathered.h"
 #include "mpi/message.h"
 #include "util/payload.h"
 
@@ -38,7 +40,9 @@ class Request {
 struct FramedBlob {
   int source = kAnySource;  ///< rank within the communicator
   int tag = 0;
-  std::vector<std::byte> bytes;
+  std::vector<std::byte> bytes;  ///< empty for a shared-result blob
+  std::uint64_t size = 0;        ///< modeled body bytes
+  std::shared_ptr<const Gathered> shared;
   sim::SimTime header_arrival = 0.0;
   sim::SimTime arrival = 0.0;  ///< body arrival (== header for empty blobs)
 };
@@ -46,16 +50,22 @@ struct FramedBlob {
 class Comm {
  public:
   int rank() const { return my_index_; }
-  int size() const { return static_cast<int>(members_->size()); }
+  int size() const { return static_cast<int>(group_->members.size()); }
 
   /// World rank of a rank in this communicator.
   int world_rank(int crank) const {
     MCIO_CHECK_GE(crank, 0);
     MCIO_CHECK_LT(crank, size());
-    return (*members_)[static_cast<std::size_t>(crank)];
+    return group_->members[static_cast<std::size_t>(crank)];
   }
   /// Physical node hosting a rank of this communicator.
   int node_of(int crank) const;
+  /// This communicator's ranks by physical node (each node's ranks
+  /// ascending, nodes ordered by leader = lowest rank). Computed once per
+  /// communicator group and shared by every rank's handle.
+  const std::vector<std::vector<int>>& node_groups() const {
+    return group_->node_groups;
+  }
 
   // --- point-to-point ---
   void send(int dst, int tag, util::ConstPayload data);
@@ -102,6 +112,13 @@ class Comm {
   /// Variable-size allgather (gather + bcast of the concatenation).
   std::vector<std::vector<std::byte>> allgather_blobs(
       std::span<const std::byte> mine);
+
+  /// Allgather returning the one result object every rank of the
+  /// communicator shares (gathered.h); `hier` takes the node-leader
+  /// route. Read it with Gathered::as<T>().
+  template <typename T>
+  std::shared_ptr<const Gathered> allgather_shared(const T& v,
+                                                   bool hier = false);
 
   // Typed helpers for trivially copyable metadata.
   template <typename T>
@@ -153,42 +170,48 @@ class Comm {
   friend class Rank;
   friend class Machine;
 
-  Comm(Machine* machine, Rank* owner,
-       std::shared_ptr<const std::vector<int>> members, int my_index,
-       std::uint64_t comm_id);
+  Comm(Machine* machine, Rank* owner, std::shared_ptr<const CommGroup> group,
+       int my_index, std::uint64_t comm_id);
 
   int next_coll_tag();
   Endpoint& my_endpoint();
 
+  // Framed-blob transport shared by send_blob/send_shared (and their shm
+  // twins): identical charges, the body either copied bytes or a
+  // size-only payload carrying `shared`.
+  void send_framed(int dst, int tag, util::OwnedPayload body,
+                   std::shared_ptr<const Gathered> shared);
+  void send_framed_shm(int dst, int tag, util::OwnedPayload body,
+                       std::shared_ptr<const Gathered> shared);
+  /// Sends `result` as a framed blob of result->wire_bytes() modeled
+  /// bytes without copying them.
+  void send_shared(int dst, int tag,
+                   const std::shared_ptr<const Gathered>& result);
+  void send_shared_shm(int dst, int tag,
+                       const std::shared_ptr<const Gathered>& result);
+  std::shared_ptr<const Gathered> recv_shared(int src, int tag);
+
   // Tree helpers for collectives. Gathers move one flat wire bundle
   // (u64 count, then per item u64 rank, u64 len, raw bytes) up a binomial
-  // tree; parse_wire scatters a bundle of fixed-size items into a dense
-  // per-rank array.
+  // tree; the root parses it once into a Gathered, which the broadcast
+  // hands down by reference.
   std::vector<std::byte> tree_gather_wire(int tag, int root,
                                           std::span<const std::byte> mine);
-  void tree_bcast_blob(int tag, int root, std::vector<std::byte>& blob);
-  std::vector<std::byte> allgather_wire(std::span<const std::byte> mine);
-  void parse_wire(const std::vector<std::byte>& wire, std::uint64_t elem_size,
-                  std::byte* out);
-  /// Allgather where every rank contributes exactly mine.size() bytes;
-  /// writes size() contributions into `out`, indexed by rank.
-  void allgather_fixed(std::span<const std::byte> mine, std::byte* out);
-  /// Fixed-size gather; `out` is written at root only.
-  void gather_fixed(std::span<const std::byte> mine, int root,
-                    std::byte* out);
-
-  // Hierarchical plumbing. node_groups() is data-independent: every rank
-  // computes the identical grouping (each node's ranks ascending, groups
-  // ordered by leader = lowest member).
-  std::vector<std::vector<int>> node_groups() const;
-  std::size_t my_group_index(
-      const std::vector<std::vector<int>>& groups) const;
-  std::vector<std::byte> allgather_wire_hier(std::span<const std::byte> mine);
-  void allgather_fixed_hier(std::span<const std::byte> mine, std::byte* out);
+  void tree_bcast_shared(int tag, int root,
+                         std::shared_ptr<const Gathered>& result);
+  /// The one allgather path: flat (binomial gather at rank 0, binomial
+  /// bcast) or node-leader hierarchical.
+  std::shared_ptr<const Gathered> allgather_bytes(
+      std::span<const std::byte> mine, bool hier);
+  std::shared_ptr<const Gathered> allgather_bytes_hier(
+      std::span<const std::byte> mine);
+  /// Gather at `root`: the parsed result there, null elsewhere.
+  std::shared_ptr<const Gathered> gather_bytes(
+      std::span<const std::byte> mine, int root);
 
   Machine* machine_;
   Rank* owner_;
-  std::shared_ptr<const std::vector<int>> members_;  // world ranks
+  std::shared_ptr<const CommGroup> group_;
   int my_index_;
   std::uint64_t comm_id_;
   std::uint64_t coll_seq_ = 0;
@@ -197,34 +220,39 @@ class Comm {
 // --- template implementations ---
 
 template <typename T>
-std::vector<T> Comm::allgather(const T& v) {
+std::shared_ptr<const Gathered> Comm::allgather_shared(const T& v,
+                                                       bool hier) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  std::vector<T> out(static_cast<std::size_t>(size()));
-  allgather_fixed(std::span<const std::byte>(p, sizeof(T)),
-                  reinterpret_cast<std::byte*>(out.data()));
-  return out;
+  return allgather_bytes(
+      std::span<const std::byte>(reinterpret_cast<const std::byte*>(&v),
+                                 sizeof(T)),
+      hier);
+}
+
+template <typename T>
+std::vector<T> Comm::allgather(const T& v) {
+  const auto all = allgather_shared(v);
+  const auto items = all->template as<T>();
+  return std::vector<T>(items.begin(), items.end());
 }
 
 template <typename T>
 std::vector<T> Comm::allgather_hier(const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  std::vector<T> out(static_cast<std::size_t>(size()));
-  allgather_fixed_hier(std::span<const std::byte>(p, sizeof(T)),
-                       reinterpret_cast<std::byte*>(out.data()));
-  return out;
+  const auto all = allgather_shared(v, /*hier=*/true);
+  const auto items = all->template as<T>();
+  return std::vector<T>(items.begin(), items.end());
 }
 
 template <typename T>
 std::vector<T> Comm::gather(const T& v, int root) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  std::vector<T> out;
-  if (rank() == root) out.resize(static_cast<std::size_t>(size()));
-  gather_fixed(std::span<const std::byte>(p, sizeof(T)), root,
-               reinterpret_cast<std::byte*>(out.data()));
-  return out;
+  const auto all = gather_bytes(
+      std::span<const std::byte>(reinterpret_cast<const std::byte*>(&v),
+                                 sizeof(T)),
+      root);
+  if (all == nullptr) return {};
+  const auto items = all->as<T>();
+  return std::vector<T>(items.begin(), items.end());
 }
 
 template <typename T>
@@ -238,15 +266,17 @@ void Comm::bcast(T& v, int root) {
 template <typename T>
 std::vector<std::vector<T>> Comm::allgatherv(std::span<const T> mine) {
   static_assert(std::is_trivially_copyable_v<T>);
-  auto blobs = allgather_blobs(std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(mine.data()), mine.size_bytes()));
-  std::vector<std::vector<T>> out(blobs.size());
-  for (std::size_t i = 0; i < blobs.size(); ++i) {
-    MCIO_CHECK_EQ(blobs[i].size() % sizeof(T), 0u);
-    out[i].resize(blobs[i].size() / sizeof(T));
-    if (!blobs[i].empty()) {
-      std::memcpy(out[i].data(), blobs[i].data(), blobs[i].size());
-    }
+  const auto all = allgather_bytes(
+      std::span<const std::byte>(
+          reinterpret_cast<const std::byte*>(mine.data()), mine.size_bytes()),
+      /*hier=*/false);
+  std::vector<std::vector<T>> out(static_cast<std::size_t>(all->size()));
+  for (int r = 0; r < all->size(); ++r) {
+    const auto item = all->item(r);
+    MCIO_CHECK_EQ(item.size() % sizeof(T), 0u);
+    auto& dst = out[static_cast<std::size_t>(r)];
+    dst.resize(item.size() / sizeof(T));
+    if (!item.empty()) std::memcpy(dst.data(), item.data(), item.size());
   }
   return out;
 }

@@ -30,6 +30,11 @@ std::vector<sim::SimTime> Machine::run(
                                            nshards);
       });
   engine_ = &engine;
+  {
+    std::vector<int> world(static_cast<std::size_t>(nranks));
+    for (int r = 0; r < nranks; ++r) world[static_cast<std::size_t>(r)] = r;
+    world_group_ = intern_group(std::move(world));
+  }
   for (int r = 0; r < nranks; ++r) {
     // Shard hint = the rank's node: co-located ranks (dense intra-node
     // traffic) share a worker; only NIC/fabric traffic crosses shards.
@@ -75,7 +80,8 @@ void Machine::set_sim_lookahead(bool lookahead) {
   sim_lookahead_ = lookahead;
 }
 
-std::uint64_t Machine::intern_group(const std::vector<int>& world_members) {
+std::shared_ptr<const CommGroup> Machine::intern_group(
+    std::vector<int> world_members) {
   // Content hash (FNV-1a over the member list): the id is a pure
   // function of the membership, so concurrent first-interning ranks on
   // different shards agree without coordination and the id can never
@@ -95,10 +101,35 @@ std::uint64_t Machine::intern_group(const std::vector<int>& world_members) {
   h &= ~(1ull << 63);
   if (h == 0) h = 1;
   const util::MutexLock lk(group_mu_);
-  const auto [it, inserted] = group_ids_.try_emplace(h, world_members);
-  MCIO_CHECK_MSG(it->second == world_members,
-                 "communicator group hash collision on id " << h);
-  return h;
+  auto& slot = groups_[h];
+  if (slot != nullptr) {
+    MCIO_CHECK_MSG(slot->members == world_members,
+                   "communicator group hash collision on id " << h);
+    return slot;
+  }
+  auto group = std::make_shared<CommGroup>();
+  group->id = h;
+  group->members = std::move(world_members);
+  // Ranks ascend, so each node's group is created by (and ordered after)
+  // its lowest rank: the leader order falls out of one pass.
+  const auto n = group->members.size();
+  std::vector<int> group_of_node(
+      static_cast<std::size_t>(cluster_.num_nodes()), -1);
+  group->group_of.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto node =
+        static_cast<std::size_t>(cluster_.node_of_rank(group->members[r]));
+    int& gi = group_of_node[node];
+    if (gi < 0) {
+      gi = static_cast<int>(group->node_groups.size());
+      group->node_groups.emplace_back();
+    }
+    group->node_groups[static_cast<std::size_t>(gi)].push_back(
+        static_cast<int>(r));
+    group->group_of[r] = gi;
+  }
+  slot = std::move(group);
+  return slot;
 }
 
 sim::SimTime Machine::transfer(int src_node, int dst_node,
@@ -242,13 +273,9 @@ sim::Engine& Machine::engine() {
 
 Rank::Rank(Machine& machine, sim::Actor& actor, int world_rank)
     : machine_(machine), actor_(actor), world_rank_(world_rank) {
-  const int n = static_cast<int>(machine.engine().num_actors());
-  auto members = std::make_shared<std::vector<int>>();
-  members->reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) members->push_back(r);
-  const std::uint64_t id = machine.intern_group(*members);
+  const auto& group = machine.world_group();
   world_ = std::unique_ptr<Comm>(
-      new Comm(&machine, this, std::move(members), world_rank, id));
+      new Comm(&machine, this, group, world_rank, group->id));
 }
 
 Rank::~Rank() = default;

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "mpi/gathered.h"
 #include "mpi/message.h"
 #include "sim/engine.h"
 #include "sim/topology.h"
@@ -53,11 +54,18 @@ class Machine {
   void set_sim_lookahead(bool lookahead);
   bool sim_lookahead() const { return sim_lookahead_; }
 
-  /// Interns a communicator group; identical member lists get the same
-  /// id. The id is a content hash of the member list (top bit reserved
-  /// for Comm::dup()'s generated ids), so it does not depend on the
-  /// interleaving of first-interning ranks across engine shards.
-  std::uint64_t intern_group(const std::vector<int>& world_members);
+  /// Interns a communicator group: identical member lists get the same
+  /// shared CommGroup, whose node grouping is computed once, by the first
+  /// interning rank. The id is a content hash of the member list (top bit
+  /// reserved for Comm::dup()'s generated ids), so it does not depend on
+  /// the interleaving of first-interning ranks across engine shards.
+  std::shared_ptr<const CommGroup> intern_group(
+      std::vector<int> world_members);
+
+  /// The world group of the current run() (all of its ranks).
+  const std::shared_ptr<const CommGroup>& world_group() const {
+    return world_group_;
+  }
 
   // --- transport internals (used by Comm) ---
 
@@ -131,11 +139,12 @@ class Machine {
 
   sim::Cluster cluster_;
   std::vector<Endpoint> endpoints_;
-  /// Interned groups by content hash, for collision detection. Guarded:
-  /// under lookahead, ranks on different shards intern concurrently.
-  std::map<std::uint64_t, std::vector<int>> group_ids_
+  /// Interned groups by content hash. Guarded: under lookahead, ranks on
+  /// different shards intern concurrently.
+  std::map<std::uint64_t, std::shared_ptr<const CommGroup>> groups_
       MCIO_GUARDED_BY(group_mu_);
   util::Mutex group_mu_;
+  std::shared_ptr<const CommGroup> world_group_;
   sim::Engine* engine_ = nullptr;  // valid during run()
   int sim_shards_ = 1;
   bool sim_lookahead_ = false;

@@ -27,6 +27,8 @@
 
 namespace mcio::mpi {
 
+class Gathered;
+
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
@@ -49,6 +51,9 @@ struct Envelope {
   /// receive side replays the old header+body charge pair from these.
   bool framed = false;
   sim::SimTime header_arrival = 0.0;
+  /// Shared collective result riding a framed envelope in place of its
+  /// bytes (the body is then a size-only payload): see gathered.h.
+  std::shared_ptr<const Gathered> shared;
 };
 
 /// A posted (possibly pending) receive.

@@ -101,7 +101,9 @@ struct ExchangeHarness {
       xplan.rank_bounds[3] = Extent{};
       xplan.domains = {FileDomain{{0, 1600}, 3, 800}};
       xplan.real_data = true;
-      TwoPhaseExchange exchange(ctx, plan, xplan);
+      TwoPhaseExchange exchange(
+          ctx, plan,
+          share_plan(xplan, *ctx.comm, ctx.hints.cb_node_leaders));
       exchange.write();
       rank.world().barrier();
     });
