@@ -29,6 +29,13 @@ std::vector<sim::SimTime> Machine::run(
         return sim::shard_lookahead_matrix(cluster_.config(), shard_of,
                                            nshards);
       });
+  // Fresh slabs per run: a run that aborted mid-flight leaves stashed
+  // envelopes behind, and shard_of() never exceeds sim_shards_ - 1.
+  slabs_.clear();
+  slabs_.resize(static_cast<std::size_t>(sim_shards_));
+  engine.set_timed_handler([this](int world_dst, std::uint32_t token) {
+    deliver_now(world_dst, slab_of(world_dst).take(token));
+  });
   engine_ = &engine;
   {
     std::vector<int> world(static_cast<std::size_t>(nranks));
@@ -49,10 +56,12 @@ std::vector<sim::SimTime> Machine::run(
     engine.run();
   } catch (...) {
     engine_ = nullptr;
+    slabs_.clear();
     observer_->on_run_aborted();
     throw;
   }
   engine_ = nullptr;
+  slabs_.clear();
   // Orphan sweep: every delivered message must have been received and
   // every posted receive matched by the time the run completes.
   for (std::size_t r = 0; r < endpoints_.size(); ++r) {
@@ -231,7 +240,7 @@ void Machine::deliver(int world_dst, Envelope env) {
   schedule_delivery(world_dst, std::move(env));
 }
 
-void Machine::schedule_delivery(int world_dst, Envelope env) {
+void Machine::schedule_delivery(int world_dst, Envelope&& env) {
   // Deliveries apply at their arrival virtual time, keyed (arrival,
   // stamping actor, seq) — identical in every scheduler mode, which is
   // what keeps any-source matching and unexpected-queue contents
@@ -239,12 +248,14 @@ void Machine::schedule_delivery(int world_dst, Envelope env) {
   MCIO_CHECK_MSG(engine_ != nullptr, "delivery outside run()");
   const sim::SimTime arrival = env.arrival;
   engine_->post_at(world_dst, arrival,
-                   [this, world_dst, env = std::move(env)]() mutable {
-                     deliver_now(world_dst, std::move(env));
-                   });
+                   slab_of(world_dst).stash(std::move(env)));
 }
 
-void Machine::deliver_now(int world_dst, Envelope env) {
+EnvelopeSlab& Machine::slab_of(int world_dst) {
+  return slabs_[static_cast<std::size_t>(engine_->shard_of(world_dst))];
+}
+
+void Machine::deliver_now(int world_dst, Envelope&& env) {
   Endpoint& ep = endpoint(world_dst);
   const sim::SimTime arrival = env.arrival;
   const std::shared_ptr<RecvSlot> slot = ep.match_posted(env);

@@ -125,11 +125,17 @@ class Machine {
   verify::Observer* observer() const { return observer_; }
 
  private:
-  /// Schedules deliver_now() as a timed event at env.arrival on the
-  /// destination's shard (which must be the executing shard).
-  void schedule_delivery(int world_dst, Envelope env);
+  /// Stashes `env` in the destination shard's slab and posts a timed
+  /// event at env.arrival carrying its slot; the run's timed handler
+  /// takes it back out and calls deliver_now(). The destination's shard
+  /// must be the executing shard.
+  void schedule_delivery(int world_dst, Envelope&& env);
   /// Applies a delivery to the destination endpoint (no scheduling).
-  void deliver_now(int world_dst, Envelope env);
+  void deliver_now(int world_dst, Envelope&& env);
+  /// The in-flight slab of `world_dst`'s engine shard. A delivery is
+  /// stashed and applied only on its target's shard, so each slab has
+  /// one owner at a time and needs no lock (DESIGN.md §12).
+  EnvelopeSlab& slab_of(int world_dst);
   /// True when the destination's side of a cross-node transport must be
   /// applied through the stamped mailbox instead of inline: always for a
   /// cross-shard receiver, and for every cross-node receiver under
@@ -139,6 +145,8 @@ class Machine {
 
   sim::Cluster cluster_;
   std::vector<Endpoint> endpoints_;
+  /// Envelopes in flight during run(), one slab per engine shard.
+  std::vector<EnvelopeSlab> slabs_;
   /// Interned groups by content hash. Guarded: under lookahead, ranks on
   /// different shards intern concurrently.
   std::map<std::uint64_t, std::shared_ptr<const CommGroup>> groups_

@@ -78,7 +78,7 @@ struct RecvSlot {
 /// Completes a matched receive with `env`: copies bytes (or takes the
 /// envelope for blob receives), fills the status and marks it done.
 /// Shared by delivery (posted match) and irecv (unexpected match).
-inline void fulfill(RecvSlot& slot, Envelope env) {
+inline void fulfill(RecvSlot& slot, Envelope&& env) {
   slot.status = Status{env.src, env.tag, env.body.size(), env.arrival};
   if (slot.take) {
     MCIO_CHECK_MSG(env.framed,
@@ -102,6 +102,54 @@ inline void fulfill(RecvSlot& slot, Envelope env) {
   }
   slot.done = true;
 }
+
+/// Pooled storage for envelopes in flight between their send and their
+/// delivery event: the engine's timed event carries only the slot index
+/// (DESIGN.md §5). Slots live in fixed-size chunks that never move, so
+/// growth copies no envelope and keeps no doubling slack; freed slots
+/// are reused last-in first-out, which keeps the working set warm.
+class EnvelopeSlab {
+ public:
+  /// Moves `env` into a free slot and returns its index.
+  std::uint32_t stash(Envelope&& env) {
+    std::uint32_t i = 0;
+    if (!free_.empty()) {
+      i = free_.back();
+      free_.pop_back();
+    } else {
+      MCIO_CHECK_MSG(size_ < UINT32_MAX, "envelope slab exhausted");
+      i = size_++;
+      if ((i & kChunkMask) == 0) {
+        chunks_.push_back(std::make_unique<Envelope[]>(kChunk));
+      }
+    }
+    at(i) = std::move(env);
+    return i;
+  }
+
+  /// Moves the envelope out of slot `i` and frees the slot. The
+  /// moved-from slot keeps no payload bytes or shared result alive.
+  Envelope take(std::uint32_t i) {
+    free_.push_back(i);
+    return std::move(at(i));
+  }
+
+  /// Slots currently holding an envelope.
+  std::size_t in_flight() const { return size_ - free_.size(); }
+
+ private:
+  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunk = 1u << kChunkShift;
+  static constexpr std::uint32_t kChunkMask = kChunk - 1;
+
+  Envelope& at(std::uint32_t i) {
+    return chunks_[i >> kChunkShift][i & kChunkMask];
+  }
+
+  std::vector<std::unique_ptr<Envelope[]>> chunks_;
+  std::vector<std::uint32_t> free_;
+  std::uint32_t size_ = 0;  ///< slots ever handed out (high-water mark)
+};
 
 /// Hash key for one matching bucket. Wildcard-tag traffic never lands in a
 /// bucket (it scans in sequence order), so `tag` is always concrete; `src`
@@ -265,7 +313,7 @@ class Endpoint {
   int waiting = 0;
 
   /// Queues an envelope that matched no posted receive.
-  void push_unexpected(Envelope env) {
+  void push_unexpected(Envelope&& env) {
     const std::uint64_t seq =
         store_base_ + static_cast<std::uint64_t>(unexpected_.size());
     unexpected_exact_.get_or_create(MatchKey{env.comm_id, env.src, env.tag})

@@ -29,14 +29,12 @@ void Actor::advance_to(SimTime t) { clock_ = std::max(clock_, t); }
 
 void Actor::sync() {
   engine_->assert_exclusive();
-  engine_->enqueue_slice(id_, /*kind=*/2);
-  engine_->yield_from(id_);
+  engine_->yield_slice(id_, /*kind=*/2);
 }
 
 void Actor::sync_local() {
   engine_->assert_exclusive();
-  engine_->enqueue_slice(id_, /*kind=*/1);
-  engine_->yield_from(id_);
+  engine_->yield_slice(id_, /*kind=*/1);
 }
 
 void Actor::park() {
@@ -71,6 +69,11 @@ void Engine::set_lookahead_provider(
         provider) {
   MCIO_CHECK_MSG(!running_, "set_lookahead_provider() after run() started");
   la_provider_ = std::move(provider);
+}
+
+void Engine::set_timed_handler(TimedHandler handler) {
+  MCIO_CHECK_MSG(!running_, "set_timed_handler() after run() started");
+  timed_handler_ = std::move(handler);
 }
 
 Engine::~Engine() = default;
@@ -155,9 +158,9 @@ void Engine::post_remote(int target_actor, std::function<void()> apply) {
   post_stamped(target_actor, std::move(apply));
 }
 
-void Engine::post_at(int target_actor, SimTime t,
-                     std::function<void()> apply) {
+void Engine::post_at(int target_actor, SimTime t, std::uint32_t token) {
   assert_exclusive();
+  MCIO_CHECK_MSG(timed_handler_, "post_at() without a timed handler");
   ExecCtx* ctx = exec_ctx();
   MCIO_CHECK_GE(ctx->src, 0);
   MCIO_CHECK_MSG(ctx->posts_left != 0, "post budget exhausted");
@@ -186,10 +189,10 @@ void Engine::post_at(int target_actor, SimTime t,
                                     << rt.frontier);
       la_stats_.min_slack = std::min(la_stats_.min_slack, slack);
     }
-    rt.heap.push(Event{key, -1, std::move(apply)});
+    rt.heap.push(Event{key, target_actor, token});
     return;
   }
-  heap_.push(Event{key, -1, std::move(apply)});
+  heap_.push(Event{key, target_actor, token});
 }
 
 void Engine::drain_mailboxes() {
@@ -307,7 +310,7 @@ void Engine::run_slice(int id, FiberContext* scheduler_ctx) {
 }
 
 void Engine::run_event(Event ev, ExecCtx* ctx, FiberContext* scheduler_ctx) {
-  if (ev.actor >= 0) {
+  if (ev.key.kind != 0) {
     auto& slot = actors_[static_cast<std::size_t>(ev.actor)];
     *ctx = ExecCtx{ev.key.t, ev.actor, slot.next_seq, /*posts_left=*/-1};
     ctx->kind = ev.key.kind;
@@ -318,7 +321,7 @@ void Engine::run_event(Event ev, ExecCtx* ctx, FiberContext* scheduler_ctx) {
     // emit further stamps or schedule further events.
     *ctx = ExecCtx{ev.key.t, ev.key.a, ev.key.b + 1, /*posts_left=*/0};
     ctx->kind = ev.key.kind;
-    ev.apply();
+    timed_handler_(ev.actor, ev.token);
   }
   *ctx = ExecCtx{};
 }
@@ -341,15 +344,15 @@ void Engine::run_single() {
           body_wrapper(id, body);
         },
         &main_ctx_);
-    heap_.push(Event{Key{0.0, /*kind=*/2, id, -1}, id, {}});
+    heap_.push(Event{Key{0.0, /*kind=*/2, id, -1}, id, 0});
   }
   pending_bodies_.clear();
   observer_->on_engine_start(static_cast<int>(actors_.size()));
 
   while (!heap_.empty()) {
-    Event ev = std::move(const_cast<Event&>(heap_.top()));
+    const Event ev = heap_.top();
     heap_.pop();
-    run_event(std::move(ev), &seq_exec_, &main_ctx_);
+    run_event(ev, &seq_exec_, &main_ctx_);
     if (error_) std::rethrow_exception(error_);
   }
   check_no_deadlock();
@@ -385,11 +388,11 @@ void Engine::run_sharded() {
             body_wrapper(id, body);
           },
           &shards_[shard].ctx);
-      Event ev{Key{0.0, /*kind=*/2, id, -1}, id, {}};
+      const Event ev{Key{0.0, /*kind=*/2, id, -1}, id, 0};
       if (la_active_) {
-        shards_[shard].heap.push(std::move(ev));
+        shards_[shard].heap.push(ev);
       } else {
-        heap_.push(std::move(ev));
+        heap_.push(ev);
       }
     }
     pending_bodies_.clear();
@@ -407,8 +410,9 @@ void Engine::run_sharded() {
           worker_loop(s);
         }
       } catch (...) {
-        // A machine closure threw on a worker (fiber-body exceptions
-        // take the body_wrapper path instead): latch and stop the run.
+        // A timed handler or mailbox closure threw on a worker (fiber-
+        // body exceptions take the body_wrapper path instead): latch
+        // and stop the run.
         const util::MutexLock lk(mu_);
         if (!error_) error_ = std::current_exception();
         stop_ = true;
@@ -428,7 +432,7 @@ void Engine::worker_loop(int shard) {
   // every engine call from inside a slice runs on this thread, under
   // this acquisition). The pop order is therefore exactly the
   // single-threaded heap order; the threads only decide *where* each
-  // slice's fiber stack lives. Timed events carry no fiber, so
+  // slice's fiber stack lives. Timed events resume no fiber, so
   // whichever worker holds the lock applies them.
   util::MutexLock lk(mu_);
   while (!stop_) {
@@ -438,17 +442,16 @@ void Engine::worker_loop(int shard) {
       stop_ = true;
       break;
     }
-    const Event& top = heap_.top();
-    if (top.actor >= 0 &&
-        shard_of_[static_cast<std::size_t>(top.actor)] != shard) {
+    const Event ev = heap_.top();
+    if (ev.key.kind != 0 &&
+        shard_of_[static_cast<std::size_t>(ev.actor)] != shard) {
       // The globally next slice belongs to another shard; its worker
       // was notified at the last boundary.
       cv_.wait(lk);
       continue;
     }
-    Event ev = std::move(const_cast<Event&>(top));
     heap_.pop();
-    run_event(std::move(ev), &seq_exec_,
+    run_event(ev, &seq_exec_,
               &shards_[static_cast<std::size_t>(shard)].ctx);
     // Apply cross-shard effects before the next pop so the heap state
     // every later event sees matches the single-threaded run, and so a
@@ -492,7 +495,7 @@ void Engine::run_event_exclusive(Event ev, int shard) {
   // Cross-shard effects relock inside post_stamped().
   assert_exclusive();
   ShardRt& rt = shards_[static_cast<std::size_t>(shard)];
-  run_event(std::move(ev), &rt.exec, &rt.ctx);
+  run_event(ev, &rt.exec, &rt.ctx);
 }
 
 void Engine::lookahead_worker(int shard) {
@@ -619,7 +622,7 @@ void Engine::lookahead_worker(int shard) {
       cv_.wait(lk);
       continue;
     }
-    Event ev = std::move(const_cast<Event&>(rt.heap.top()));
+    const Event ev = rt.heap.top();
     rt.heap.pop();
     rt.executing = true;
     rt.exec_key = k;
@@ -628,7 +631,7 @@ void Engine::lookahead_worker(int shard) {
     cv_.notify_all();
     lk.unlock();
     rt.frontier = k.t;
-    run_event_exclusive(std::move(ev), shard);
+    run_event_exclusive(ev, shard);
     lk.lock();
     rt.executing = false;
     if (rt.error) {
@@ -705,6 +708,27 @@ SimTime Engine::makespan() const {
   return t;
 }
 
+void Engine::yield_slice(int id, int kind) {
+  if (nshards_ == 1) {
+    const SimTime now = actors_[static_cast<std::size_t>(id)].actor->now();
+    if (heap_.empty() || Key{now, kind, id, -1} < heap_.top().key) {
+      // The classic loop would pop this very slice next (keys are
+      // unique, so nothing else can tie with it). Replay the boundary
+      // without the heap round trip or the fiber switches: the
+      // observers see the same yielded/resumed pair, and the new slice
+      // gets the context run_event() would build for it, with the
+      // actor's seq counter carried over.
+      observer_->on_actor_yielded(id, now);
+      seq_exec_ = ExecCtx{now, id, seq_exec_.next_seq, /*posts_left=*/-1};
+      seq_exec_.kind = kind;
+      observer_->on_actor_resumed(id, now);
+      return;
+    }
+  }
+  enqueue_slice(id, kind);
+  yield_from(id);
+}
+
 void Engine::yield_from(int id) {
   auto& slot = actors_[static_cast<std::size_t>(id)];
   if (nshards_ > 1) {
@@ -722,10 +746,10 @@ void Engine::enqueue_slice(int id, int kind) {
   if (la_active_) {
     shards_[static_cast<std::size_t>(
                 shard_of_[static_cast<std::size_t>(id)])]
-        .heap.push(Event{key, id, {}});
+        .heap.push(Event{key, id, 0});
     return;
   }
-  heap_.push(Event{key, id, {}});
+  heap_.push(Event{key, id, 0});
 }
 
 void assert_global_interaction(const char* what) {

@@ -25,6 +25,21 @@
 // unpark wake times to enforce this) — the pop order is monotone, which
 // is what the conservative lookahead mode's commit clocks rely on.
 //
+// Every event is a 32-byte plain record (Event, below): a key, an actor
+// and a 32-bit token. A timed event names its target actor and an opaque
+// token; the engine passes both to the one timed-event handler the owner
+// registered (set_timed_handler()). The machine stores the in-flight
+// message in a pooled slab and hands the slot index over as the token
+// (DESIGN.md §5), so the heap never moves a closure or a message.
+//
+// Yield elision (classic single loop only): when sync()/sync_local()
+// would enqueue a key that sorts below the heap's top — or the heap is
+// empty — the scheduler would pop that very slice next. The engine then
+// skips the push, the pop and both fiber switches and replays exactly
+// what the slice boundary does (yielded/resumed observer calls, a fresh
+// executing context with the actor's seq counter carried over), so the
+// slice sequence every observer sees is unchanged.
+//
 // Sharded mode (Options::threads > 1, DESIGN.md §12): actors are
 // partitioned into shards by a spawn-time hint (the machine passes the
 // rank's node), each shard's fibers are pinned to one worker thread, and
@@ -77,6 +92,7 @@
 #include <limits>
 #include <memory>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "sim/fiber.h"
@@ -266,12 +282,21 @@ class Engine {
   /// post_stamped() restricted to cross-shard targets (checked).
   void post_remote(int target_actor, std::function<void()> apply);
 
+  /// Called for every timed event with its target actor and token, at
+  /// the event's virtual time. Must be set before the first post_at();
+  /// the machine registers its delivery handler once per run().
+  using TimedHandler = std::function<void(int target_actor,
+                                          std::uint32_t token)>;
+  void set_timed_handler(TimedHandler handler);
+
   /// Schedules a timed event on `target_actor`'s shard — which must be
-  /// the executing event's own shard — applied at virtual time `t`,
-  /// keyed (t, stamping actor, seq) in the shard's event order. The
-  /// machine uses this to apply message deliveries at their arrival
-  /// time. `t` must be >= the executing event's time.
-  void post_at(int target_actor, SimTime t, std::function<void()> apply);
+  /// the executing event's own shard — at virtual time `t`, keyed
+  /// (t, stamping actor, seq) in the shard's event order. When it pops,
+  /// the timed handler runs with (target_actor, token). The machine uses
+  /// this to apply message deliveries at their arrival time; the token
+  /// is the envelope's slot in the target shard's slab. `t` must be >=
+  /// the executing event's time.
+  void post_at(int target_actor, SimTime t, std::uint32_t token);
 
   /// Virtual time at which each actor finished (valid after run()).
   const std::vector<SimTime>& finish_times() const { return finish_times_; }
@@ -318,16 +343,20 @@ class Engine {
     std::int64_t next_seq = 0;
   };
 
-  /// One schedulable event: a fiber slice (actor >= 0) or a timed
-  /// closure (actor < 0, apply non-empty).
+  /// One schedulable event, plain data so the heap moves 32 bytes per
+  /// sift step. A slice (key.kind 1 or 2) resumes `actor`; a timed event
+  /// (key.kind 0) calls the timed handler with (actor, token), where
+  /// `actor` is the delivery target.
   struct Event {
     Key key;
     int actor = -1;
-    std::function<void()> apply;
+    std::uint32_t token = 0;
     friend bool operator>(const Event& x, const Event& y) {
       return y.key < x.key;
     }
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
+  static_assert(sizeof(Event) <= 32);
 
   using EventHeap =
       std::priority_queue<Event, std::vector<Event>, std::greater<>>;
@@ -386,6 +415,10 @@ class Engine {
     std::exception_ptr error;
   };
 
+  /// sync()/sync_local(): ends the executing slice of `id` and
+  /// re-enqueues it as a `kind` slice, eliding the round trip when the
+  /// classic loop would pop it straight back (see the file comment).
+  void yield_slice(int id, int kind) MCIO_REQUIRES(mu_);
   void yield_from(int id) MCIO_REQUIRES(mu_);   // fiber -> scheduler
   void enqueue_slice(int id, int kind) MCIO_REQUIRES(mu_);
   void body_wrapper(int id, const std::function<void(Actor&)>& body)
@@ -401,7 +434,7 @@ class Engine {
   /// Lookahead: executes one event outside the scheduler lock, with the
   /// shard worker's structural ownership (assert_exclusive() case 3).
   void run_event_exclusive(Event ev, int shard) MCIO_EXCLUDES(mu_);
-  /// Executes one popped event (slice or timed closure) under the
+  /// Executes one popped event (slice or timed event) under the
   /// executing context `ctx`.
   void run_event(Event ev, ExecCtx* ctx, FiberContext* scheduler_ctx)
       MCIO_REQUIRES(mu_);
@@ -469,6 +502,7 @@ class Engine {
   std::condition_variable_any cv_;
   bool stop_ MCIO_GUARDED_BY(mu_) = false;
   verify::Observer* observer_;
+  TimedHandler timed_handler_;
   std::exception_ptr error_ MCIO_GUARDED_BY(mu_);
   std::vector<SimTime> finish_times_;
   bool running_ = false;

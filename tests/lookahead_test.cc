@@ -38,6 +38,8 @@ WorkloadResult run_workload(int threads, bool lookahead, double window) {
   opt.threads = threads;
   opt.lookahead = lookahead;
   Engine engine(opt);
+  // The deliveries below carry no payload: the timed handler is a no-op.
+  engine.set_timed_handler([](int, std::uint32_t) {});
   engine.set_lookahead_provider(
       [window](const std::vector<int>&, int nshards) {
         const auto n = static_cast<std::size_t>(nshards);
@@ -57,7 +59,7 @@ WorkloadResult run_workload(int threads, bool lookahead, double window) {
           // the promised window min_slack tracks.
           const SimTime stamp = a.now();
           engine.post_remote(target, [&engine, target, stamp] {
-            engine.post_at(target, stamp + 2e-6, [] {});
+            engine.post_at(target, stamp + 2e-6, /*token=*/0);
           });
         }
       }

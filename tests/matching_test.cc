@@ -6,6 +6,7 @@
 // determinism of a figure-shaped run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iomanip>
 #include <sstream>
@@ -270,6 +271,167 @@ std::string figure_shaped_run() {
     }
   }
   return out.str();
+}
+
+// The in-flight slab: slots freed out of order are reused before the
+// slab grows, across chunk boundaries, and every envelope comes back
+// intact.
+TEST(Matching, EnvelopeSlabReusesSlotsOutOfOrder) {
+  EnvelopeSlab slab;
+  const auto stash_tagged = [&slab](int tag) {
+    Envelope env;
+    env.tag = tag;
+    env.body = util::OwnedPayload(util::ConstPayload::real(
+        reinterpret_cast<const std::byte*>(&tag), sizeof(tag)));
+    return slab.stash(std::move(env));
+  };
+  constexpr int kFirst = 600;  // spans three chunks
+  std::vector<std::uint32_t> slots;
+  for (int i = 0; i < kFirst; ++i) slots.push_back(stash_tagged(i));
+  // Take every third envelope, newest first.
+  std::vector<std::uint32_t> freed;
+  for (int i = kFirst - 1; i >= 0; i -= 3) {
+    const Envelope env = slab.take(slots[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(env.tag, i);
+    int payload = -1;
+    std::memcpy(&payload, env.body.view().data, sizeof(payload));
+    EXPECT_EQ(payload, i);
+    freed.push_back(slots[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(slab.in_flight(), static_cast<std::size_t>(kFirst) - freed.size());
+  // New envelopes land in freed slots only: no slot index beyond the
+  // first round's high-water mark appears.
+  std::vector<std::uint32_t> reused;
+  for (std::size_t i = 0; i < freed.size(); ++i) {
+    reused.push_back(stash_tagged(kFirst + static_cast<int>(i)));
+    EXPECT_LT(reused.back(), static_cast<std::uint32_t>(kFirst));
+  }
+  std::sort(freed.begin(), freed.end());
+  std::vector<std::uint32_t> sorted_reused = reused;
+  std::sort(sorted_reused.begin(), sorted_reused.end());
+  EXPECT_EQ(sorted_reused, freed);
+  for (std::size_t i = 0; i < reused.size(); ++i) {
+    EXPECT_EQ(slab.take(reused[i]).tag, kFirst + static_cast<int>(i));
+  }
+  for (int i = 0; i < kFirst; ++i) {
+    if (i % 3 == (kFirst - 1) % 3) continue;  // taken above
+    EXPECT_EQ(slab.take(slots[static_cast<std::size_t>(i)]).tag, i);
+  }
+  EXPECT_EQ(slab.in_flight(), 0u);
+}
+
+// Many deliveries to one rank in flight at once, arriving in a different
+// order than they were sent: large inter-node messages queue on the NIC
+// while small same-node messages overtake them. Several bursts free and
+// reuse slab slots; every message must still match its receive.
+void run_in_flight_bursts(Rank& rank) {
+  constexpr int kBursts = 4;
+  constexpr int kPerSender = 40;
+  constexpr int kTag = 5;
+  Comm& world = rank.world();
+  // Ranks 0 and 1 sit on node 0, ranks 2 (sender) and 3 (receiver) on
+  // node 1. Message i of burst b from sender s carries s * 1000 + b * 100
+  // + i in its first word; node 0's senders pad it to 64 KiB.
+  for (int burst = 0; burst < kBursts; ++burst) {
+    if (rank.rank() != 3) {
+      const std::size_t bytes = rank.node() == 0 ? 64u << 10 : 64u;
+      std::vector<std::int32_t> buf(bytes / sizeof(std::int32_t), 0);
+      for (int i = 0; i < kPerSender; ++i) {
+        buf[0] = rank.rank() * 1000 + burst * 100 + i;
+        world.send(3, kTag,
+                   util::ConstPayload::real(
+                       reinterpret_cast<const std::byte*>(buf.data()),
+                       bytes));
+      }
+    } else {
+      std::vector<std::int32_t> buf((64u << 10) / sizeof(std::int32_t));
+      std::vector<int> next(3, 0);
+      std::vector<int> source_order;
+      sim::SimTime last_arrival = 0.0;
+      for (int m = 0; m < 3 * kPerSender; ++m) {
+        Status st;
+        world.recv(kAnySource, kTag,
+                   util::Payload::real(
+                       reinterpret_cast<std::byte*>(buf.data()),
+                       buf.size() * sizeof(std::int32_t)),
+                   &st);
+        // Any-source matching follows arrival order ...
+        EXPECT_GE(st.arrival, last_arrival);
+        last_arrival = st.arrival;
+        // ... and each source's stream stays FIFO.
+        const auto src = static_cast<std::size_t>(st.source);
+        EXPECT_EQ(buf[0], st.source * 1000 + burst * 100 + next[src]);
+        ++next[src];
+        source_order.push_back(st.source);
+      }
+      EXPECT_EQ(next,
+                (std::vector<int>{kPerSender, kPerSender, kPerSender}));
+      // Arrival order is not send order: the same-node sender's small
+      // messages overtake node 0's queued large ones.
+      EXPECT_EQ(source_order.front(), 2);
+      EXPECT_NE(source_order.back(), 2);
+    }
+    world.barrier();
+  }
+}
+
+// Runs the bursts on the classic loop and with one slab per node shard,
+// sequenced and under lookahead.
+TEST(Matching, ManyInFlightDeliveriesArriveOutOfOrder) {
+  for (const auto& [shards, lookahead] :
+       {std::pair{1, false}, std::pair{2, false}, std::pair{2, true}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "shards=" << shards << " lookahead=" << lookahead);
+    Machine machine(small_cluster(2, 2));
+    machine.set_sim_shards(shards);
+    machine.set_sim_lookahead(lookahead);
+    machine.run(4, run_in_flight_bursts);
+  }
+}
+
+// A run that aborts with deliveries still in flight must leave the
+// machine reusable: the next run starts from empty slabs and endpoints.
+// The abort comes from the first delivery (it overflows the posted
+// receive), after every rank body has returned, so 49 envelopes are
+// still stashed when run() throws.
+TEST(Matching, RunAbortedMidFlightThenRunsCleanly) {
+  for (const auto& [shards, lookahead] :
+       {std::pair{1, false}, std::pair{2, false}, std::pair{2, true}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "shards=" << shards << " lookahead=" << lookahead);
+    Machine machine(small_cluster(2, 2));
+    machine.set_sim_shards(shards);
+    machine.set_sim_lookahead(lookahead);
+    EXPECT_THROW(machine.run(4,
+                             [](Rank& rank) {
+                               Comm& world = rank.world();
+                               if (rank.rank() == 0) {
+                                 for (int i = 0; i < 50; ++i) {
+                                   send_i32(world, 3, 9, i);
+                                 }
+                               } else if (rank.rank() == 3) {
+                                 std::int16_t small = 0;
+                                 world.irecv(0, 9,
+                                             util::Payload::real(
+                                                 reinterpret_cast<std::byte*>(
+                                                     &small),
+                                                 sizeof(small)));
+                               }
+                             }),
+                 util::Error);
+    std::vector<std::int32_t> got;
+    machine.run(4, [&got](Rank& rank) {
+      Comm& world = rank.world();
+      if (rank.rank() == 0) {
+        for (int i = 0; i < 50; ++i) send_i32(world, 3, 9, 100 + i);
+      } else if (rank.rank() == 3) {
+        for (int i = 0; i < 50; ++i) got.push_back(recv_i32(world, 0, 9));
+      }
+    });
+    std::vector<std::int32_t> want;
+    for (int i = 0; i < 50; ++i) want.push_back(100 + i);
+    EXPECT_EQ(got, want);
+  }
 }
 
 TEST(Matching, FigureShapedRunIsDeterministic) {

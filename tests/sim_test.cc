@@ -2,12 +2,14 @@
 // determinism, deadlock detection and bandwidth-queue behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/engine.h"
 #include "sim/resource.h"
 #include "sim/topology.h"
 #include "util/check.h"
+#include "verify/observer.h"
 
 namespace mcio::sim {
 namespace {
@@ -106,6 +108,106 @@ TEST(Engine, AdvanceToNeverMovesBackwards) {
     EXPECT_DOUBLE_EQ(a.now(), 2.0);
   });
   engine.run();
+}
+
+/// Records the slice boundaries the engine reports, in order.
+class SliceRecorder : public verify::Observer {
+ public:
+  struct Boundary {
+    char what;  ///< 'R' resumed, 'Y' yielded
+    int actor;
+    SimTime clock;
+    friend bool operator==(const Boundary&, const Boundary&) = default;
+  };
+
+  void on_actor_resumed(int actor, double clock) override {
+    log.push_back({'R', actor, clock});
+  }
+  void on_actor_yielded(int actor, double clock) override {
+    log.push_back({'Y', actor, clock});
+  }
+
+  std::vector<Boundary> log;
+};
+
+struct BoundaryRun {
+  std::vector<SliceRecorder::Boundary> log;
+  std::vector<std::uint32_t> tokens;  ///< timed events in pop order
+  std::vector<SimTime> finish;
+};
+
+/// Three actors exercising every yield shape. The classic loop elides
+/// the syncs whose slice would pop straight back; the sharded sequenced
+/// loop never elides. Both must report the same slice boundaries.
+BoundaryRun run_boundary_scenario(int threads) {
+  Engine::Options opt;
+  opt.threads = threads;
+  Engine engine(opt);
+  SliceRecorder rec;
+  engine.set_observer(&rec);
+  BoundaryRun out;
+  engine.set_timed_handler([&engine, &out](int target, std::uint32_t token) {
+    out.tokens.push_back(token);
+    if (engine.is_parked(target)) engine.unpark(target, 0.0);
+  });
+  // Actor 0 parks until the first delivery (t = 3) wakes it.
+  engine.spawn([](Actor& a) {
+    a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
+    EXPECT_DOUBLE_EQ(a.now(), 3.0);
+  });
+  engine.spawn([&engine](Actor& a) {
+    a.advance(1.0);
+    a.sync();  // actor 2 still queued at t = 0: a real yield
+    engine.post_at(0, 3.0, 1);
+    engine.post_at(0, 3.0, 2);
+    a.sync_local();  // (1, 1, 1) sorts below actor 2's (1, 2, 2): elided
+    // Seq continues across the elided boundary, so this delivery keys
+    // after tokens 1 and 2 at the same time and source.
+    engine.post_at(0, 3.0, 3);
+    a.advance(1.0);
+    a.sync();
+    a.advance(3.0);
+    a.sync();  // behind the deliveries at t = 3: a real yield
+    // Alone from here on: back-to-back syncs, all elided.
+    a.sync();
+    a.advance(0.5);
+    a.sync_local();
+    engine.post_at(2, 6.0, 4);  // actor 2 is done: no wakeup
+  });
+  engine.spawn([](Actor& a) {
+    a.advance(1.0);
+    a.sync();  // equal clock with actor 1, higher id: a real yield
+  });
+  engine.run();
+  out.log = rec.log;
+  out.finish = engine.finish_times();
+  return out;
+}
+
+TEST(Engine, YieldElisionKeepsSliceBoundaries) {
+  using B = SliceRecorder::Boundary;
+  const std::vector<B> expected = {
+      {'R', 0, 0.0}, {'Y', 0, 0.0},  // parks
+      {'R', 1, 0.0}, {'Y', 1, 1.0},  // sync behind actor 2's t = 0 slice
+      {'R', 2, 0.0}, {'Y', 2, 1.0},  // equal clocks: actor 1 goes first
+      {'R', 1, 1.0}, {'Y', 1, 1.0},  // posts, elided sync_local ...
+      {'R', 1, 1.0}, {'Y', 1, 2.0},  // ... posts, sync behind actor 2
+      {'R', 2, 1.0}, {'Y', 2, 1.0},  // actor 2 finishes
+      {'R', 1, 2.0}, {'Y', 1, 5.0},  // sync behind the t = 3 deliveries
+      {'R', 0, 3.0}, {'Y', 0, 3.0},  // woken by token 1, finishes
+      {'R', 1, 5.0}, {'Y', 1, 5.0},  // lone: elided sync
+      {'R', 1, 5.0}, {'Y', 1, 5.5},  // lone: elided sync_local
+      {'R', 1, 5.5}, {'Y', 1, 5.5},  // finishes
+  };
+  const BoundaryRun classic = run_boundary_scenario(1);
+  EXPECT_EQ(classic.log, expected);
+  EXPECT_EQ(classic.tokens, (std::vector<std::uint32_t>{1, 2, 3, 4}));
+  EXPECT_EQ(classic.finish, (std::vector<SimTime>{3.0, 5.5, 1.0}));
+
+  const BoundaryRun sharded = run_boundary_scenario(2);
+  EXPECT_EQ(sharded.log, classic.log);
+  EXPECT_EQ(sharded.tokens, classic.tokens);
+  EXPECT_EQ(sharded.finish, classic.finish);
 }
 
 TEST(BandwidthQueue, ServeAndQueueing) {
