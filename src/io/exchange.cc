@@ -282,8 +282,17 @@ static bool next_window(const Extent& fd, std::uint64_t win, Extent* w) {
   return true;
 }
 
-void TwoPhaseExchange::send_extent_lists() {
-  const ExtentList local = ExtentList::normalize(plan_.extents);
+void TwoPhaseExchange::exchange_extent_lists() {
+  {
+    // Scoped: the normalized plan is dropped before the receive phase.
+    const ExtentList local = ExtentList::normalize(plan_.extents);
+    send_extent_lists(local);
+    leader_collect_extent_lists(local);
+  }
+  recv_extent_lists();
+}
+
+void TwoPhaseExchange::send_extent_lists(const ExtentList& local) {
   for (const int di : client_domains_) {
     const FileDomain& d = xplan_.domains[static_cast<std::size_t>(di)];
     const ExtentList part = local.clipped(d.extent);
@@ -304,9 +313,9 @@ void TwoPhaseExchange::send_extent_lists() {
   }
 }
 
-void TwoPhaseExchange::leader_collect_extent_lists() {
+void TwoPhaseExchange::leader_collect_extent_lists(const ExtentList& local) {
   if (!is_leader_) return;
-  const ExtentList local = ExtentList::normalize(plan_.extents);
+  std::vector<const ExtentList*> lists;
   for (NodeDomain& nd : node_domains_) {
     const FileDomain& d =
         xplan_.domains[static_cast<std::size_t>(nd.index)];
@@ -331,9 +340,11 @@ void TwoPhaseExchange::leader_collect_extent_lists() {
         list = ExtentList::normalize(std::move(runs));
       }
       if (list.empty()) continue;
-      nd.merged.merge(list);
       nd.per_member.emplace_back(m, std::move(list));
     }
+    lists.clear();
+    for (const auto& [m, list] : nd.per_member) lists.push_back(&list);
+    nd.merged.assign_union(lists);
     // Forward the node's merged list (possibly empty — the aggregator
     // expects one blob per intersecting node).
     const auto& runs = nd.merged.runs();
@@ -926,9 +937,11 @@ void TwoPhaseExchange::leader_scatter_read() {
 
 void TwoPhaseExchange::aggregator_write() {
   // Scratch reused across windows and domains: receive staging buffers,
-  // request/size lists, the window cover and the per-source clip lists.
+  // request/size lists, the window cover (one union of the active
+  // sources' clips) and the per-source clip lists.
   std::vector<SourceSweep> sweeps;
   std::vector<std::size_t> active;
+  std::vector<const ExtentList*> clips;
   std::vector<mpi::Request> reqs;
   std::vector<std::vector<std::byte>> pool;
   std::vector<std::uint64_t> sizes;
@@ -987,15 +1000,16 @@ void TwoPhaseExchange::aggregator_write() {
       sweeps.push_back(SourceSweep{s, util::ExtentCursor(list), {}});
     }
     for (Extent w{}; next_window(d.extent, win_bytes, &w);) {
-      cover.clear();
       active.clear();
+      clips.clear();
       for (std::size_t i = 0; i < sweeps.size(); ++i) {
         sweeps[i].cursor.clipped_into(w, &sweeps[i].clip);
         if (sweeps[i].clip.empty()) continue;
-        cover.merge(sweeps[i].clip);
         active.push_back(i);
+        clips.push_back(&sweeps[i].clip);
       }
-      if (cover.empty()) continue;
+      if (active.empty()) continue;
+      cover.assign_union(clips);
       ++rec.rounds;
       if (grant != nullptr) {
         if (!grant->revoked && actor().now() >= b.revoke_at) {
@@ -1122,7 +1136,6 @@ void TwoPhaseExchange::aggregator_write() {
 
 void TwoPhaseExchange::aggregator_read() {
   std::vector<SourceSweep> sweeps;
-  ExtentList cover;
   std::vector<std::byte> tmp;  // pack staging, reused across sends
   for (std::size_t k = 0; k < owned_.size(); ++k) {
     DomainWork& work = owned_[k];
@@ -1175,15 +1188,14 @@ void TwoPhaseExchange::aggregator_read() {
       sweeps.push_back(SourceSweep{s, util::ExtentCursor(list), {}});
     }
     for (Extent w{}; next_window(d.extent, win_bytes, &w);) {
-      cover.clear();
-      bool any = false;
+      // The sieving read needs only the span of the window's cover, not
+      // its runs: the hull of the sources' clips.
+      Extent span{};
       for (SourceSweep& sw : sweeps) {
         sw.cursor.clipped_into(w, &sw.clip);
-        if (sw.clip.empty()) continue;
-        cover.merge(sw.clip);
-        any = true;
+        span = util::hull(span, sw.clip.bounds());
       }
-      if (!any) continue;
+      if (span.empty()) continue;
       ++rec.rounds;
       if (grant != nullptr) {
         if (!grant->revoked && actor().now() >= b.revoke_at) {
@@ -1198,7 +1210,6 @@ void TwoPhaseExchange::aggregator_read() {
       }
       const bool via_fabric = b.borrowed && !grant->revoked;
       // Data-sieving read: one contiguous read covering the span.
-      const Extent span = cover.bounds();
       Payload stage =
           xplan_.real_data
               ? Payload::real(cb.data() + (span.offset - w.offset),
@@ -1300,9 +1311,7 @@ void TwoPhaseExchange::write() {
   if (ctx_.stats != nullptr && my_rank() == 0) {
     ctx_.stats->set_groups(xplan_.num_groups);
   }
-  send_extent_lists();
-  leader_collect_extent_lists();
-  recv_extent_lists();
+  exchange_extent_lists();
   if (degraded_) {
     // Degradation ladder + window-size negotiation: aggregators settle
     // their (possibly shrunk) buffers and announce the final window size
@@ -1328,9 +1337,7 @@ void TwoPhaseExchange::read() {
   if (ctx_.stats != nullptr && my_rank() == 0) {
     ctx_.stats->set_groups(xplan_.num_groups);
   }
-  send_extent_lists();
-  leader_collect_extent_lists();
-  recv_extent_lists();
+  exchange_extent_lists();
   if (degraded_) {
     negotiate_buffers();
     if (hier_) {

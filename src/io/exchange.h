@@ -189,7 +189,10 @@ class TwoPhaseExchange {
   };
 
   // Phase helpers.
-  void send_extent_lists();
+  /// Normalizes this rank's plan once, then runs the extent-list phase:
+  /// send, the leader's fold (hierarchical), receive.
+  void exchange_extent_lists();
+  void send_extent_lists(const util::ExtentList& local);
   void recv_extent_lists();
   void negotiate_buffers();
   void recv_window_sizes();
@@ -210,7 +213,7 @@ class TwoPhaseExchange {
   void direct_sources(const FileDomain& d, std::vector<int>* out) const;
   /// Leader: drain member extent lists, merge per domain, forward the
   /// merged lists to the aggregators.
-  void leader_collect_extent_lists();
+  void leader_collect_extent_lists(const util::ExtentList& local);
   /// Degraded protocol: leaders take window sizes from aggregators and
   /// fan them out to their members; members take them from their leader.
   void recv_window_sizes_hier();

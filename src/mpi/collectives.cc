@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 
 #include "mpi/comm.h"
 #include "mpi/machine.h"
@@ -31,6 +32,29 @@ std::uint64_t read_u64(const std::vector<std::byte>& in, std::size_t& pos) {
 void write_u64_at(std::vector<std::byte>& out, std::size_t pos,
                   std::uint64_t v) {
   std::memcpy(out.data() + pos, &v, sizeof(v));
+}
+
+/// Folds an allreduce's gathered values once per collective: the first
+/// rank to ask runs the rank-ordered fold and every rank shares it, so a
+/// double sum keeps the exact association of a per-rank fold.
+template <typename T>
+T fold_max(const std::shared_ptr<const Gathered>& shared) {
+  return *shared->derive<T>([&] {
+    const auto all = shared->as<T>();
+    T m = all.front();
+    for (const T x : all) m = std::max(m, x);
+    return std::make_shared<const T>(m);
+  });
+}
+
+/// As fold_max, for a rank-ordered sum.
+template <typename T>
+T fold_sum(const std::shared_ptr<const Gathered>& shared) {
+  return *shared->derive<T>([&] {
+    T s = 0;
+    for (const T x : shared->as<T>()) s += x;
+    return std::make_shared<const T>(s);
+  });
 }
 
 }  // namespace
@@ -311,19 +335,11 @@ std::vector<std::vector<std::byte>> Comm::allgather_blobs_hier(
 }
 
 double Comm::allreduce_max_hier(double v) {
-  const auto shared = allgather_shared(v, /*hier=*/true);
-  const auto all = shared->as<double>();
-  double m = all.front();
-  for (const double x : all) m = std::max(m, x);
-  return m;
+  return fold_max<double>(allgather_shared(v, /*hier=*/true));
 }
 
 std::int64_t Comm::allreduce_max_hier(std::int64_t v) {
-  const auto shared = allgather_shared(v, /*hier=*/true);
-  const auto all = shared->as<std::int64_t>();
-  std::int64_t m = all.front();
-  for (const std::int64_t x : all) m = std::max(m, x);
-  return m;
+  return fold_max<std::int64_t>(allgather_shared(v, /*hier=*/true));
 }
 
 std::vector<std::vector<std::byte>> Comm::alltoallv_blobs_hier(
@@ -503,35 +519,19 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_blobs_hier(
 }
 
 double Comm::allreduce_max(double v) {
-  const auto shared = allgather_shared(v);
-  const auto all = shared->as<double>();
-  double m = all.front();
-  for (const double x : all) m = std::max(m, x);
-  return m;
+  return fold_max<double>(allgather_shared(v));
 }
 
 double Comm::allreduce_sum(double v) {
-  const auto shared = allgather_shared(v);
-  const auto all = shared->as<double>();
-  double s = 0.0;
-  for (const double x : all) s += x;
-  return s;
+  return fold_sum<double>(allgather_shared(v));
 }
 
 std::int64_t Comm::allreduce_max(std::int64_t v) {
-  const auto shared = allgather_shared(v);
-  const auto all = shared->as<std::int64_t>();
-  std::int64_t m = all.front();
-  for (const std::int64_t x : all) m = std::max(m, x);
-  return m;
+  return fold_max<std::int64_t>(allgather_shared(v));
 }
 
 std::int64_t Comm::allreduce_sum(std::int64_t v) {
-  const auto shared = allgather_shared(v);
-  const auto all = shared->as<std::int64_t>();
-  std::int64_t s = 0;
-  for (const std::int64_t x : all) s += x;
-  return s;
+  return fold_sum<std::int64_t>(allgather_shared(v));
 }
 
 }  // namespace mcio::mpi

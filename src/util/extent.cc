@@ -17,23 +17,76 @@ std::optional<Extent> intersect(const Extent& a, const Extent& b) {
   return Extent{lo, hi - lo};
 }
 
+Extent hull(const Extent& a, const Extent& b) {
+  if (a.empty()) return b;
+  if (b.empty()) return a;
+  const std::uint64_t lo = std::min(a.offset, b.offset);
+  return Extent{lo, std::max(a.end(), b.end()) - lo};
+}
+
+ExtentMerge::ExtentMerge(std::vector<Extent>* raw) {
+  const std::size_t n = raw->size();
+  const std::size_t max_runs = std::max<std::size_t>(1, n / kMinMeanRun);
+  std::size_t begin = 0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    if (i < n && !extent_less((*raw)[i], (*raw)[i - 1])) continue;
+    if (heap_.size() == max_runs) {
+      // Too many short runs for a merge to pay: sort, walk one run.
+      heap_.clear();
+      std::sort(raw->begin(), raw->end(), extent_less);
+      add_run(*raw);
+      return;
+    }
+    add_run(std::span<const Extent>(*raw).subspan(begin, i - begin));
+    begin = i;
+  }
+}
+
+void ExtentMerge::add_run(std::span<const Extent> run) {
+  if (run.empty()) return;
+  heap_.push_back(Head{run.data(), run.data() + run.size()});
+  std::size_t i = heap_.size() - 1;
+  const Head added = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(added, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = added;
+}
+
 ExtentList ExtentList::normalize(std::vector<Extent> extents) {
-  std::erase_if(extents, [](const Extent& e) { return e.empty(); });
-  std::sort(extents.begin(), extents.end(),
-            [](const Extent& a, const Extent& b) {
-              return a.offset != b.offset ? a.offset < b.offset
-                                          : a.len < b.len;
-            });
   ExtentList out;
-  for (const Extent& e : extents) {
-    if (!out.runs_.empty() && e.offset <= out.runs_.back().end()) {
-      Extent& last = out.runs_.back();
+  ExtentMerge merge(&extents);
+  if (merge.runs() > 1) {
+    for (Extent e; merge.next(&e);) out.append(e);
+    return out;
+  }
+  // One sorted run: coalesce in place and keep the storage.
+  std::size_t n = 0;
+  for (const Extent e : extents) {
+    if (e.empty()) continue;
+    if (n > 0 && e.offset <= extents[n - 1].end()) {
+      Extent& last = extents[n - 1];
       last.len = std::max(last.end(), e.end()) - last.offset;
     } else {
-      out.runs_.push_back(e);
+      extents[n++] = e;
     }
   }
+  extents.resize(n);
+  out.runs_ = std::move(extents);
   return out;
+}
+
+void ExtentList::assign_union(std::span<const ExtentList* const> lists) {
+  runs_.clear();
+  ExtentMerge merge;
+  for (const ExtentList* l : lists) {
+    MCIO_CHECK(l != this);
+    merge.add_run(l->runs_);
+  }
+  for (Extent e; merge.next(&e);) append(e);
 }
 
 void ExtentList::add(const Extent& e) {
@@ -52,10 +105,6 @@ void ExtentList::add(const Extent& e) {
   }
   it = runs_.erase(first, it);
   runs_.insert(it, merged);
-}
-
-void ExtentList::merge(const ExtentList& other) {
-  for (const Extent& e : other.runs_) add(e);
 }
 
 std::uint64_t ExtentList::total_bytes() const {

@@ -5,10 +5,14 @@
 // them. Everything here works on half-open ranges [offset, offset+len).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <vector>
+
+#include "util/check.h"
 
 namespace mcio::util {
 
@@ -42,6 +46,77 @@ std::ostream& operator<<(std::ostream& os, const Extent& e);
 /// Intersection of two extents; nullopt when disjoint (or either empty).
 std::optional<Extent> intersect(const Extent& a, const Extent& b);
 
+/// Strict weak order of sorted extent walks: by offset, then length.
+inline bool extent_less(const Extent& a, const Extent& b) {
+  return a.offset != b.offset ? a.offset < b.offset : a.len < b.len;
+}
+
+/// Smallest extent covering both `a` and `b`; an empty operand is ignored.
+Extent hull(const Extent& a, const Extent& b);
+
+/// K-way merge of sorted extent runs: yields every extent of every run,
+/// empty ones included, in extent_less order — the order std::sort would
+/// give their concatenation. O(N log R) for N extents in R runs; the only
+/// scratch is an R-entry heap. The runs must outlive the merge.
+class ExtentMerge {
+ public:
+  ExtentMerge() = default;
+
+  /// Merges the natural sorted runs of `raw`: O(N) for sorted input, which
+  /// stays one run. When the runs average fewer than kMinMeanRun extents,
+  /// a merge would need a heap of nearly N entries and lose to a sort, so
+  /// `raw` is sorted in place and walked as one run instead.
+  explicit ExtentMerge(std::vector<Extent>* raw);
+
+  /// Adds one run, sorted by extent_less, to the merge. Empty runs are
+  /// ignored.
+  void add_run(std::span<const Extent> run);
+
+  /// Runs not yet drained.
+  std::size_t runs() const { return heap_.size(); }
+
+  /// Writes the next extent to `*out`; false once every run is drained.
+  bool next(Extent* out) {
+    if (heap_.empty()) return false;
+    Head& top = heap_.front();
+    *out = *top.pos;
+    if (++top.pos == top.end) {
+      top = heap_.back();
+      heap_.pop_back();
+    }
+    sift_down();
+    return true;
+  }
+
+  /// Mean natural-run length below which ExtentMerge(raw) sorts instead.
+  static constexpr std::size_t kMinMeanRun = 8;
+
+ private:
+  struct Head {
+    const Extent* pos;
+    const Extent* end;
+  };
+  static bool before(const Head& a, const Head& b) {
+    return extent_less(*a.pos, *b.pos);
+  }
+  /// Restores the heap below the root after its head advanced.
+  void sift_down() {
+    const std::size_t n = heap_.size();
+    if (n < 2) return;
+    const Head moved = heap_[0];
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n && before(heap_[c + 1], heap_[c])) ++c;
+      if (!before(heap_[c], moved)) break;
+      heap_[i] = heap_[c];
+      i = c;
+    }
+    heap_[i] = moved;
+  }
+
+  std::vector<Head> heap_;  ///< binary min-heap on each run's next extent
+};
+
 /// A normalized list of extents: sorted by offset, pairwise disjoint, with
 /// adjacent runs merged. The canonical representation of "the set of bytes
 /// a process touches".
@@ -49,14 +124,36 @@ class ExtentList {
  public:
   ExtentList() = default;
 
-  /// Builds a normalized list from arbitrary input (may overlap/unsorted).
+  /// Builds a normalized list from arbitrary input (may overlap, unsorted,
+  /// or hold empty extents) through an ExtentMerge of its natural runs.
+  /// Sorted input — every wire blob, every validated plan — is coalesced in
+  /// place: O(N), no sort and no copy. R runs cost O(N log R).
   static ExtentList normalize(std::vector<Extent> extents);
 
-  /// Inserts one extent, keeping the list normalized.
-  void add(const Extent& e);
+  /// Replaces this list with the union of normalized `lists` in one k-way
+  /// merge, O(N log R) for N runs across R lists, reusing this list's
+  /// capacity. `this` must not be one of `lists`.
+  void assign_union(std::span<const ExtentList* const> lists);
 
-  /// Union with another list.
-  void merge(const ExtentList& other);
+  /// Appends `e`, coalescing it with the last run when they overlap or
+  /// touch; O(1). `e` must not start before the last run. Empty extents
+  /// are ignored.
+  void append(const Extent& e) {
+    if (e.empty()) return;
+    MCIO_CHECK(runs_.empty() || e.offset >= runs_.back().offset);
+    if (!runs_.empty() && e.offset <= runs_.back().end()) {
+      Extent& last = runs_.back();
+      last.len = std::max(last.end(), e.end()) - last.offset;
+    } else {
+      runs_.push_back(e);
+    }
+  }
+
+  /// Inserts one extent anywhere, keeping the list normalized: a binary
+  /// search plus an O(n) mid-vector move. For single inserts only — a
+  /// loop of add() is quadratic; build bulk unions with normalize() or
+  /// assign_union().
+  void add(const Extent& e);
 
   const std::vector<Extent>& runs() const { return runs_; }
   bool empty() const { return runs_.empty(); }

@@ -22,37 +22,35 @@ util::ExtentList subtract(const util::ExtentList& a,
     while (j < cuts.size() && cuts[j].end() <= pos) ++j;
     std::size_t k = j;
     while (pos < end && k < cuts.size() && cuts[k].offset < end) {
-      if (cuts[k].offset > pos) out.add({pos, cuts[k].offset - pos});
+      if (cuts[k].offset > pos) out.append({pos, cuts[k].offset - pos});
       pos = std::max(pos, cuts[k].end());
       ++k;
     }
-    if (pos < end) out.add({pos, end - pos});
+    if (pos < end) out.append({pos, end - pos});
   }
   return out;
 }
 
-/// Sorts `raw` in place, returns its normalized union, and reports up to
-/// `max_overlaps` byte ranges covered by more than one input extent.
-util::ExtentList normalize_with_overlaps(
-    std::vector<util::Extent>* raw, std::vector<util::Extent>* overlaps,
-    std::size_t max_overlaps) {
-  std::sort(raw->begin(), raw->end(),
-            [](const util::Extent& x, const util::Extent& y) {
-              return x.offset != y.offset ? x.offset < y.offset
-                                          : x.len < y.len;
-            });
+/// Returns the normalized union of `raw` (consuming it) and reports up to
+/// `max_overlaps` byte ranges covered by more than one input extent. The
+/// extents are walked in sorted order through one k-way merge of their
+/// natural runs — an epoch's log is the participants' sorted plans or
+/// windows, concatenated — so the report is that of a full sort.
+util::ExtentList normalize_with_overlaps(std::vector<util::Extent> raw,
+                                         std::vector<util::Extent>* overlaps,
+                                         std::size_t max_overlaps) {
+  util::ExtentMerge walk(&raw);
   util::ExtentList out;
   std::uint64_t cover_end = 0;
   bool any = false;
-  for (const util::Extent& e : *raw) {
+  for (util::Extent e; walk.next(&e);) {
     if (e.empty()) continue;
-    if (any && e.offset < cover_end && overlaps &&
-        overlaps->size() < max_overlaps) {
+    if (any && e.offset < cover_end && overlaps->size() < max_overlaps) {
       overlaps->push_back({e.offset, std::min(cover_end, e.end()) - e.offset});
     }
     cover_end = any ? std::max(cover_end, e.end()) : e.end();
     any = true;
-    out.add(e);
+    out.append(e);
   }
   return out;
 }
@@ -451,11 +449,11 @@ void Auditor::close_epoch(Epoch& ep) {
   }
 
   const util::ExtentList planned =
-      normalize_with_overlaps(&ep.planned, nullptr, 0);
+      util::ExtentList::normalize(std::move(ep.planned));
   if (ep.is_write) {
     std::vector<util::Extent> dup;
     const util::ExtentList written =
-        normalize_with_overlaps(&ep.written, &dup, 4);
+        normalize_with_overlaps(std::move(ep.written), &dup, 4);
     if (!dup.empty()) {
       util::ExtentList dups = util::ExtentList::normalize(std::move(dup));
       std::ostringstream os;
@@ -471,7 +469,7 @@ void Auditor::close_epoch(Epoch& ep) {
       add_finding("byte-loss", os.str());
     }
     const util::ExtentList preread =
-        normalize_with_overlaps(&ep.preread, nullptr, 0);
+        util::ExtentList::normalize(std::move(ep.preread));
     const util::ExtentList unplanned =
         subtract(subtract(written, planned), preread);
     if (!unplanned.empty()) {
@@ -484,7 +482,7 @@ void Auditor::close_epoch(Epoch& ep) {
     }
   } else {
     const util::ExtentList read =
-        normalize_with_overlaps(&ep.preread, nullptr, 0);
+        util::ExtentList::normalize(std::move(ep.preread));
     const util::ExtentList missing = subtract(planned, read);
     if (!missing.empty()) {
       std::ostringstream os;

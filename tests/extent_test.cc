@@ -2,7 +2,10 @@
 // brute-force byte-set model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <set>
+#include <string>
 
 #include "util/extent.h"
 #include "util/rng.h"
@@ -60,6 +63,56 @@ TEST(ExtentList, AddKeepsUnionCorrect) {
   l.add(Extent{19, 12});  // bridges the gap
   ASSERT_EQ(l.size(), 1u);
   EXPECT_EQ(l.runs()[0], (Extent{0, 35}));
+}
+
+TEST(ExtentList, AppendCoalescesInOrder) {
+  ExtentList l;
+  l.append(Extent{0, 10});
+  l.append(Extent{10, 5});  // adjacent: coalesced
+  l.append(Extent{12, 1});  // inside: absorbed
+  l.append(Extent{20, 0});  // empty: ignored
+  l.append(Extent{20, 5});
+  ASSERT_EQ(l.size(), 2u);
+  EXPECT_EQ(l.runs()[0], (Extent{0, 15}));
+  EXPECT_EQ(l.runs()[1], (Extent{20, 5}));
+  EXPECT_THROW(l.append(Extent{19, 1}), Error);  // starts before the last
+}
+
+TEST(ExtentList, Hull) {
+  EXPECT_EQ(hull(Extent{10, 5}, Extent{0, 2}), (Extent{0, 15}));
+  EXPECT_EQ(hull(Extent{}, Extent{7, 3}), (Extent{7, 3}));
+  EXPECT_EQ(hull(Extent{7, 3}, Extent{100, 0}), (Extent{7, 3}));
+}
+
+TEST(ExtentList, NormalizeSortedInputKeepsItsStorage) {
+  // Plans and wire blobs arrive sorted: they coalesce in place, no copy.
+  std::vector<Extent> v = {{0, 4}, {4, 4}, {10, 2}, {10, 3}, {20, 0}};
+  const Extent* storage = v.data();
+  const auto list = ExtentList::normalize(std::move(v));
+  ASSERT_EQ(list.size(), 2u);
+  EXPECT_EQ(list.runs()[0], (Extent{0, 8}));
+  EXPECT_EQ(list.runs()[1], (Extent{10, 3}));
+  EXPECT_EQ(list.runs().data(), storage);
+}
+
+TEST(ExtentList, AssignUnionOfNoneOneAndMany) {
+  const auto a = ExtentList::normalize({{0, 10}, {40, 10}});
+  const auto b = ExtentList::normalize({{10, 5}, {45, 20}});
+  const auto c = ExtentList::normalize({{30, 1}});
+  ExtentList u = ExtentList::normalize({{1000, 1}});
+  u.assign_union({});
+  EXPECT_TRUE(u.empty());
+  const ExtentList* one[] = {&b};
+  u.assign_union(one);
+  EXPECT_EQ(u, b);
+  const ExtentList* many[] = {&a, &b, &c};
+  u.assign_union(many);
+  ASSERT_EQ(u.size(), 3u);
+  EXPECT_EQ(u.runs()[0], (Extent{0, 15}));
+  EXPECT_EQ(u.runs()[1], (Extent{30, 1}));
+  EXPECT_EQ(u.runs()[2], (Extent{40, 25}));
+  const ExtentList* self[] = {&a, &u};
+  EXPECT_THROW(u.assign_union(self), Error);
 }
 
 TEST(ExtentList, Clipped) {
@@ -202,8 +255,154 @@ TEST_P(ExtentListProperty, PiecesPartitionTheWindow) {
   }
 }
 
+/// Input shapes for the union and normalize properties.
+enum class Shape { kMultiSource, kOneRun, kDenseOverlaps, kWithEmpties,
+                   kUnsorted };
+
+/// `sources` sorted lists of raw extents (overlapping, adjacent and
+/// duplicated within and across lists) of the given shape, and their
+/// concatenation in `*flat`.
+std::vector<std::vector<Extent>> make_sources(Rng& rng, Shape shape,
+                                              std::vector<Extent>* flat) {
+  const int sources = shape == Shape::kOneRun ? 1 : 1 + static_cast<int>(
+                                                        rng.uniform_u64(9));
+  const std::uint64_t span = shape == Shape::kDenseOverlaps ? 60 : 400;
+  std::vector<std::vector<Extent>> out(static_cast<std::size_t>(sources));
+  for (auto& src : out) {
+    const int n = static_cast<int>(rng.uniform_u64(40));
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t min_len = shape == Shape::kWithEmpties ? 0 : 1;
+      src.push_back(Extent{rng.uniform_u64(span),
+                           min_len + rng.uniform_u64(12)});
+      if (rng.uniform_u64(6) == 0) src.push_back(src.back());  // duplicate
+      if (rng.uniform_u64(6) == 0) {
+        src.push_back(Extent{src.back().end(), 1 + rng.uniform_u64(4)});
+      }
+    }
+    if (shape != Shape::kUnsorted) {
+      std::sort(src.begin(), src.end(), extent_less);
+    }
+    flat->insert(flat->end(), src.begin(), src.end());
+  }
+  if (shape == Shape::kUnsorted) {
+    for (std::size_t i = flat->size(); i > 1; --i) {
+      std::swap((*flat)[i - 1], (*flat)[rng.uniform_u64(i)]);
+    }
+  }
+  return out;
+}
+
+void expect_normalized(const ExtentList& l) {
+  for (std::size_t k = 0; k < l.runs().size(); ++k) {
+    ASSERT_FALSE(l.runs()[k].empty());
+    if (k > 0) {
+      ASSERT_LT(l.runs()[k - 1].end(), l.runs()[k].offset);
+    }
+  }
+}
+
+std::set<std::uint64_t> to_set(const std::vector<Extent>& raw) {
+  std::set<std::uint64_t> s;
+  for (const Extent& e : raw) {
+    for (std::uint64_t i = e.offset; i < e.end(); ++i) s.insert(i);
+  }
+  return s;
+}
+
+TEST_P(ExtentListProperty, MergeYieldsTheSortedOrder) {
+  for (const Shape shape : {Shape::kMultiSource, Shape::kOneRun,
+                            Shape::kDenseOverlaps, Shape::kWithEmpties}) {
+    Rng rng(GetParam() * 31 + static_cast<std::uint64_t>(shape));
+    std::vector<Extent> flat;
+    const auto sources = make_sources(rng, shape, &flat);
+    ExtentMerge merge;
+    for (const auto& src : sources) merge.add_run(src);
+    std::vector<Extent> merged;
+    for (Extent e; merge.next(&e);) merged.push_back(e);
+    std::vector<Extent> sorted = flat;
+    std::sort(sorted.begin(), sorted.end(), extent_less);
+    ASSERT_EQ(merged, sorted);
+    // The natural-run split of the concatenation walks the same order.
+    std::vector<Extent> raw = flat;
+    ExtentMerge walk(&raw);
+    merged.clear();
+    for (Extent e; walk.next(&e);) merged.push_back(e);
+    ASSERT_EQ(merged, sorted);
+  }
+}
+
+TEST_P(ExtentListProperty, NormalizeAndUnionMatchBruteForce) {
+  for (const Shape shape :
+       {Shape::kMultiSource, Shape::kOneRun, Shape::kDenseOverlaps,
+        Shape::kWithEmpties, Shape::kUnsorted}) {
+    Rng rng(GetParam() * 17 + static_cast<std::uint64_t>(shape));
+    std::vector<Extent> flat;
+    const auto sources = make_sources(rng, shape, &flat);
+    const std::set<std::uint64_t> model = to_set(flat);
+    // Independent oracle: one add() per extent.
+    ExtentList by_add;
+    for (const Extent& e : flat) by_add.add(e);
+    ASSERT_EQ(to_set(by_add), model);
+
+    const ExtentList normalized = ExtentList::normalize(flat);
+    expect_normalized(normalized);
+    ASSERT_EQ(normalized, by_add);
+
+    std::vector<ExtentList> lists;
+    for (const auto& src : sources) {
+      lists.push_back(ExtentList::normalize(src));
+    }
+    std::vector<const ExtentList*> ptrs;
+    for (const ExtentList& l : lists) ptrs.push_back(&l);
+    ExtentList u;
+    u.assign_union(ptrs);
+    expect_normalized(u);
+    ASSERT_EQ(u, by_add);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentListProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// Host cost of the union must grow near-linearly in its input. A window
+// cover is the union of 16 interleaved source clips; unioning them one
+// run at a time is quadratic (a ratio near 4 per doubling) and successive
+// two-way merges read about 3.4, while one k-way merge stays near 2.
+// Like tests/plan_scaling_test.cc, the ratio does not depend on the host.
+double union_seconds(std::size_t total_runs) {
+  constexpr std::size_t kSources = 16;
+  std::vector<ExtentList> lists(kSources);
+  for (std::size_t s = 0; s < kSources; ++s) {
+    std::vector<Extent> runs;
+    for (std::size_t i = s; i < total_runs; i += kSources) {
+      runs.push_back(Extent{2 * i, 1});  // interleaved, never adjacent
+    }
+    lists[s] = ExtentList::normalize(std::move(runs));
+  }
+  std::vector<const ExtentList*> ptrs;
+  for (const ExtentList& l : lists) ptrs.push_back(&l);
+  double best = 1e30;
+  for (int rep = 0; rep < 5; ++rep) {
+    ExtentList cover;
+    const auto t0 = std::chrono::steady_clock::now();
+    cover.assign_union(ptrs);
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(cover.size(), total_runs);
+    best = std::min(best, dt.count());
+  }
+  return best;
+}
+
+TEST(ExtentUnionScaling, SixteenSourcesGrowNearLinearly) {
+  const double small = union_seconds(std::size_t{1} << 17);
+  const double large = union_seconds(std::size_t{1} << 18);
+  ASSERT_GT(small, 0.0);
+  RecordProperty("union_s_131072_runs", std::to_string(small));
+  RecordProperty("union_s_262144_runs", std::to_string(large));
+  EXPECT_LT(large / small, 3.0) << "16-source union " << small << " s at "
+                                << "2^17 runs, " << large << " s at 2^18";
+}
 
 }  // namespace
 }  // namespace mcio::util

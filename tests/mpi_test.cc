@@ -2,6 +2,7 @@
 // awkward communicator sizes, split/dup, and transport timing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
@@ -271,6 +272,40 @@ TEST_P(CollectiveSizes, Allreduce) {
     EXPECT_DOUBLE_EQ(
         rank.world().allreduce_max(static_cast<double>(rank.rank())),
         static_cast<double>(p - 1));
+  });
+}
+
+// An allreduce folds once per collective and every rank shares the
+// result; it must equal, bit for bit, the fold each rank would compute
+// itself over the allgathered values in rank order. The doubles put
+// +1e16 on rank 1 and -1e16 on rank 2, so from five ranks up a sum in any
+// other order (reversed, say) differs in its low bits.
+template <typename T>
+void expect_shared_folds_match_per_rank(Comm& c, T v) {
+  const std::vector<T> all = c.allgather(v);
+  T max = all.front();
+  T sum = 0;
+  for (const T x : all) {
+    max = std::max(max, x);
+    sum += x;
+  }
+  const T shared_max = c.allreduce_max(v);
+  const T shared_sum = c.allreduce_sum(v);
+  const T shared_max_hier = c.allreduce_max_hier(v);
+  EXPECT_EQ(std::memcmp(&shared_max, &max, sizeof(T)), 0);
+  EXPECT_EQ(std::memcmp(&shared_sum, &sum, sizeof(T)), 0);
+  EXPECT_EQ(std::memcmp(&shared_max_hier, &max, sizeof(T)), 0);
+}
+
+TEST_P(CollectiveSizes, SharedAllreduceMatchesPerRankFold) {
+  const int p = GetParam();
+  Machine machine(small_cluster(4, 4));
+  machine.run(p, [](Rank& rank) {
+    const int me = rank.rank();
+    const double big = me == 1 ? 1e16 : me == 2 ? -1e16 : 0.0;
+    expect_shared_folds_match_per_rank(rank.world(), 0.1 * me + big);
+    expect_shared_folds_match_per_rank(
+        rank.world(), static_cast<std::int64_t>((me * 7919) % 13) - 6);
   });
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mccio_driver.h"
@@ -294,6 +295,96 @@ TEST(Auditor, TimeRegressionIsReported) {
   aud.on_engine_start(2);
   aud.on_actor_resumed(0, 0.0);
   EXPECT_TRUE(aud.clean());
+}
+
+/// Epoch close over many interleaved per-rank plans and out-of-order PFS
+/// logs, fed straight through the observer hooks. 8 ranks each plan every
+/// 8th 16 B block of [0, 8192), and four aggregators own 2 KiB domains.
+/// The write log holds each domain as one ascending burst, last domain
+/// first (a few long sorted runs: the merge path); the read log holds the
+/// domains newest block first, interleaved round by round (runs of one to
+/// four: the sort path). The pinned findings — including the overlap
+/// report, capped at its first 4 ranges in offset order — are exactly
+/// those of a full sort of each log.
+TEST(Auditor, InterleavedEpochPinsFindings) {
+  constexpr int kRanks = 8;
+  constexpr int kAggs = 4;
+  constexpr std::uint64_t kBlock = 16;
+  constexpr std::uint64_t kBlocksPerAgg = 128;
+  const int fs_tag = 0;
+  const void* fs = &fs_tag;
+  const int file = 3;
+  verify::Auditor aud;
+  aud.set_deferred(true);
+  aud.on_engine_start(kRanks);
+  auto begin = [&](bool is_write) {
+    for (int r = 0; r < kRanks; ++r) {
+      std::vector<util::Extent> plan;
+      for (std::uint64_t i = 0; i < 64; ++i) {
+        plan.push_back({(i * kRanks + static_cast<std::uint64_t>(r)) * kBlock,
+                        kBlock});
+      }
+      aud.on_collective_begin(fs, file, is_write, kRanks, r, plan);
+    }
+  };
+  auto end = [&](bool is_write) {
+    for (int r = 0; r < kRanks; ++r) {
+      aud.on_collective_end(fs, file, is_write, r);
+    }
+  };
+  // Aggregator `a` logs block `j` of its domain: every block but 200,
+  // and only the first half of 201.
+  auto log_block = [&](bool is_write, int a, std::uint64_t j) {
+    aud.on_actor_resumed(a, 0.0);
+    const std::uint64_t block =
+        static_cast<std::uint64_t>(a) * kBlocksPerAgg + j;
+    if (block == 200) return;
+    const std::uint64_t len = block == 201 ? kBlock / 2 : kBlock;
+    if (is_write) {
+      aud.on_pfs_write(fs, file, block * kBlock, len);
+    } else {
+      aud.on_pfs_read(fs, file, block * kBlock, len);
+    }
+  };
+
+  begin(/*is_write=*/true);
+  for (int a = kAggs; a-- > 0;) {
+    for (std::uint64_t j = 0; j < kBlocksPerAgg; ++j) log_block(true, a, j);
+  }
+  aud.on_actor_resumed(2, 0.0);
+  aud.on_pfs_write(fs, file, 300 * kBlock, kBlock);      // 5th overlap
+  aud.on_pfs_write(fs, file, 8192, 8);                   // past the plan
+  aud.on_pfs_write(fs, file, 100 * kBlock, kBlock);      // double write
+  aud.on_pfs_write(fs, file, 40 * kBlock, 2 * kBlock);   // spans 40, 41
+  aud.on_pfs_write(fs, file, 5 * kBlock + 4, 8);         // partial
+  aud.on_pfs_write(fs, file, 1u << 20, kBlock);          // unplanned
+  end(/*is_write=*/true);
+
+  begin(/*is_write=*/false);
+  for (std::uint64_t j = kBlocksPerAgg; j-- > 0;) {
+    for (int a = 0; a < kAggs; ++a) log_block(false, a, j);
+  }
+  end(/*is_write=*/false);
+
+  std::vector<std::pair<std::string, std::string>> got;
+  for (const verify::Finding& f : aud.findings()) {
+    got.emplace_back(f.kind, f.message);
+  }
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"byte-duplicate", "collective write #0 on file 3: bytes written "
+                         "more than once: 56 B in [84,92) [640,672) "
+                         "[1600,1616)"},
+      {"byte-loss", "collective write #0 on file 3: planned bytes never "
+                    "reached the PFS: 24 B in [3200,3216) [3224,3232)"},
+      {"unplanned-write",
+       "collective write #0 on file 3: bytes written that no rank planned "
+       "and no read-modify-write pre-read: 24 B in [8192,8200) "
+       "[1048576,1048592)"},
+      {"read-loss", "collective read #0 on file 3: planned bytes never "
+                    "read from the PFS: 24 B in [3200,3216) [3224,3232)"},
+  };
+  EXPECT_EQ(got, want) << aud.report();
+  EXPECT_EQ(aud.counters().collectives, 2u);
 }
 
 io::AccessPlan ior_factory(int rank, int nprocs,
