@@ -101,16 +101,21 @@ std::vector<std::vector<std::byte>> Gathered::blobs() const {
 }
 
 void Comm::barrier() {
+  // Dissemination: in round k every rank sends to rank + k and receives
+  // from rank - k. Run as a collective schedule (schedule.h).
   const int tag = next_coll_tag();
   const int p = size();
-  std::byte token{};
+  Schedule& s = machine_->schedule(owner_->rank());
+  s.begin(owner_->actor(), comm_id_, rank(), node_of(rank()), tag,
+          /*framed=*/false, nullptr);
   for (int k = 1; k < p; k <<= 1) {
     const int to = (rank() + k) % p;
     const int from = (rank() - k % p + p) % p;
-    Request r = irecv(from, tag, util::Payload::real(&token, 0));
-    send(to, tag, util::ConstPayload::real(&token, 0));
-    wait(r);
+    s.post_recv(from, world_rank(from), node_of(from));
+    s.send(to, world_rank(to), node_of(to));
+    s.wait();
   }
+  s.run(*machine_);
 }
 
 void Comm::bcast_bytes(util::Payload data, int root) {
@@ -170,15 +175,22 @@ std::vector<std::byte> Comm::tree_gather_wire(
   return acc;  // full bundle at root, empty elsewhere
 }
 
-void Comm::tree_bcast_shared(int tag, int root,
-                             std::shared_ptr<const Gathered>& result) {
+std::shared_ptr<const Gathered> Comm::bcast_shared(
+    std::shared_ptr<const Gathered> result, int root) {
+  // Run as a collective schedule (schedule.h): receive from the parent,
+  // then send to each child, farthest first.
+  const int tag = next_coll_tag();
   const int p = size();
   const int relative = (rank() - root + p) % p;
+  Schedule& s = machine_->schedule(owner_->rank());
+  s.begin(owner_->actor(), comm_id_, rank(), node_of(rank()), tag,
+          /*framed=*/true, relative == 0 ? std::move(result) : nullptr);
   int mask = 1;
   while (mask < p) {
     if (relative & mask) {
       const int src = (relative - mask + root) % p;
-      result = recv_shared(src, tag);
+      s.post_recv(src, world_rank(src), node_of(src));
+      s.wait();
       break;
     }
     mask <<= 1;
@@ -187,10 +199,11 @@ void Comm::tree_bcast_shared(int tag, int root,
   while (mask > 0) {
     if (relative + mask < p) {
       const int dst = (relative + mask + root) % p;
-      send_shared(dst, tag, result);
+      s.send(dst, world_rank(dst), node_of(dst));
     }
     mask >>= 1;
   }
+  return s.run(*machine_);
 }
 
 std::shared_ptr<const Gathered> Comm::gather_bytes(
@@ -217,9 +230,7 @@ std::shared_ptr<const Gathered> Comm::allgather_bytes(
   // the result by reference. Every hop still models the bundle's bytes
   // (the historical broadcast forwarded the bundle verbatim), so results
   // and simulated timing are unchanged.
-  std::shared_ptr<const Gathered> result = gather_bytes(mine, 0);
-  tree_bcast_shared(next_coll_tag(), 0, result);
-  return result;
+  return bcast_shared(gather_bytes(mine, 0), 0);
 }
 
 std::vector<std::vector<std::byte>> Comm::allgather_blobs(

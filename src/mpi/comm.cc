@@ -162,22 +162,19 @@ void Comm::send_shared(int dst, int tag,
 void Comm::send_framed(int dst, int tag, util::OwnedPayload body,
                        std::shared_ptr<const Gathered> shared) {
   sim::Actor& actor = owner_->actor();
-  const int wdst = world_rank(dst);
   const std::uint64_t size = body.size();
   // Charge both transport passes of the historical two-message protocol
   // (size header, then body) so the simulated clock and resource state
   // are bit-identical; deliver the result as a single framed envelope.
   actor.sync_local();
-  auto header_arrival = std::make_shared<sim::SimTime>(0.0);
-  machine_->charge_transfer(node_of(rank()), node_of(dst), wdst,
-                            sizeof(size), actor.now(), header_arrival);
+  FramedSend f =
+      machine_->begin_framed(node_of(rank()), node_of(dst), world_rank(dst),
+                             size);
+  machine_->charge_framed(f, /*body=*/false, actor.now());
   actor.advance(machine_->config().send_overhead);
-  auto arrival = header_arrival;
   if (size > 0) {
     actor.sync_local();
-    arrival = std::make_shared<sim::SimTime>(0.0);
-    machine_->charge_transfer(node_of(rank()), node_of(dst), wdst, size,
-                              actor.now(), arrival);
+    machine_->charge_framed(f, /*body=*/true, actor.now());
     actor.advance(machine_->config().send_overhead);
   }
   Envelope env;
@@ -185,13 +182,8 @@ void Comm::send_framed(int dst, int tag, util::OwnedPayload body,
   env.src = rank();
   env.tag = tag;
   env.body = std::move(body);
-  env.framed = true;
   env.shared = std::move(shared);
-  // Arrival stamps resolve on the destination shard (deferred ingress
-  // charges); deliver_framed reads them at apply time.
-  machine_->deliver_framed(node_of(rank()), node_of(dst), wdst,
-                           std::move(env), std::move(header_arrival),
-                           std::move(arrival));
+  machine_->deliver_framed(std::move(f), std::move(env));
 }
 
 void Comm::send_shm(int dst, int tag, util::ConstPayload data) {

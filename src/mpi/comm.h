@@ -112,6 +112,11 @@ class Comm {
   /// Variable-size allgather (gather + bcast of the concatenation).
   std::vector<std::vector<std::byte>> allgather_blobs(
       std::span<const std::byte> mine);
+  /// Binomial broadcast of a shared result (gathered.h) from `root`:
+  /// every rank returns the root's object, and each hop models moving
+  /// its wire bytes. `result` is ignored off the root.
+  std::shared_ptr<const Gathered> bcast_shared(
+      std::shared_ptr<const Gathered> result, int root);
 
   /// Allgather returning the one result object every rank of the
   /// communicator shares (gathered.h); `hier` takes the node-leader
@@ -191,14 +196,11 @@ class Comm {
                        const std::shared_ptr<const Gathered>& result);
   std::shared_ptr<const Gathered> recv_shared(int src, int tag);
 
-  // Tree helpers for collectives. Gathers move one flat wire bundle
-  // (u64 count, then per item u64 rank, u64 len, raw bytes) up a binomial
-  // tree; the root parses it once into a Gathered, which the broadcast
-  // hands down by reference.
+  // Gathers move one flat wire bundle (u64 count, then per item u64
+  // rank, u64 len, raw bytes) up a binomial tree; the root parses it once
+  // into a Gathered, which bcast_shared hands down by reference.
   std::vector<std::byte> tree_gather_wire(int tag, int root,
                                           std::span<const std::byte> mine);
-  void tree_bcast_shared(int tag, int root,
-                         std::shared_ptr<const Gathered>& result);
   /// The one allgather path: flat (binomial gather at rank 0, binomial
   /// bcast) or node-leader hierarchical.
   std::shared_ptr<const Gathered> allgather_bytes(

@@ -36,6 +36,11 @@ std::vector<sim::SimTime> Machine::run(
   engine.set_timed_handler([this](int world_dst, std::uint32_t token) {
     deliver_now(world_dst, slab_of(world_dst).take(token));
   });
+  schedules_.clear();
+  schedules_.resize(static_cast<std::size_t>(nranks));
+  engine.set_continuation_handler([this](int world_rank) {
+    return schedules_[static_cast<std::size_t>(world_rank)].advance(*this);
+  });
   engine_ = &engine;
   {
     std::vector<int> world(static_cast<std::size_t>(nranks));
@@ -57,11 +62,22 @@ std::vector<sim::SimTime> Machine::run(
   } catch (...) {
     engine_ = nullptr;
     slabs_.clear();
+    schedules_.clear();
     observer_->on_run_aborted();
     throw;
   }
   engine_ = nullptr;
   slabs_.clear();
+  // Every collective consumed the schedule messages addressed to it: a
+  // leftover early arrival means two ranks disagreed on a collective
+  // without deadlocking, which the matching contract rules out.
+  for (std::size_t r = 0; r < schedules_.size(); ++r) {
+    MCIO_CHECK_MSG(schedules_[r].early_arrivals() == 0,
+                   "rank " << r << " ended its run with "
+                           << schedules_[r].early_arrivals()
+                           << " unconsumed collective schedule messages");
+  }
+  schedules_.clear();
   // Orphan sweep: every delivered message must have been received and
   // every posted receive matched by the time the run completes.
   for (std::size_t r = 0; r < endpoints_.size(); ++r) {
@@ -192,48 +208,58 @@ void Machine::transfer_deliver(int src_node, int dst_node, int world_dst,
   schedule_delivery(world_dst, std::move(env));
 }
 
-void Machine::charge_transfer(int src_node, int dst_node, int world_dst,
-                              std::uint64_t bytes, sim::SimTime start,
-                              std::shared_ptr<sim::SimTime> arrival_out) {
-  const auto fbytes = static_cast<double>(bytes);
-  if (src_node == dst_node) {
-    *arrival_out = cluster_.membus(src_node).serve(start, fbytes);
-    return;
-  }
-  const sim::SimTime sent = cluster_.nic_out(src_node).serve(start, fbytes);
-  if (defer_ingress(world_dst)) {
-    engine_->post_stamped(
-        world_dst,
-        [this, dst_node, fbytes, sent, arrival_out = std::move(arrival_out)] {
-          *arrival_out = cluster_.nic_in(dst_node).serve(sent, fbytes);
-        });
-    return;
-  }
-  *arrival_out = cluster_.nic_in(dst_node).serve(sent, fbytes);
+FramedSend Machine::begin_framed(int src_node, int dst_node, int world_dst,
+                                 std::uint64_t size) {
+  FramedSend f;
+  f.src_node = src_node;
+  f.dst_node = dst_node;
+  f.world_dst = world_dst;
+  f.size = size;
+  f.deferred = src_node != dst_node && defer_ingress(world_dst);
+  return f;
 }
 
-void Machine::deliver_framed(int src_node, int dst_node, int world_dst,
-                             Envelope env,
-                             std::shared_ptr<sim::SimTime> header_arrival,
-                             std::shared_ptr<sim::SimTime> arrival) {
-  if (src_node != dst_node && defer_ingress(world_dst)) {
+void Machine::charge_framed(FramedSend& f, bool body, sim::SimTime start) {
+  const auto fbytes =
+      static_cast<double>(body ? f.size : sizeof(std::uint64_t));
+  sim::SimTime& stamp = body ? f.arrival : f.header_arrival;
+  if (f.src_node == f.dst_node) {
+    stamp = cluster_.membus(f.src_node).serve(start, fbytes);
+    return;
+  }
+  const sim::SimTime sent = cluster_.nic_out(f.src_node).serve(start, fbytes);
+  if (!f.deferred) {
+    stamp = cluster_.nic_in(f.dst_node).serve(sent, fbytes);
+    return;
+  }
+  auto slot = std::make_shared<sim::SimTime>(0.0);
+  (body ? f.body_slot : f.header_slot) = slot;
+  engine_->post_stamped(
+      f.world_dst, [this, dst_node = f.dst_node, fbytes, sent,
+                    slot = std::move(slot)] {
+        *slot = cluster_.nic_in(dst_node).serve(sent, fbytes);
+      });
+}
+
+void Machine::deliver_framed(FramedSend&& f, Envelope env) {
+  env.framed = true;
+  if (f.deferred) {
     engine_->post_stamped(
-        world_dst,
-        [this, world_dst, env = std::move(env),
-         header_arrival = std::move(header_arrival),
-         arrival = std::move(arrival)]() mutable {
+        f.world_dst,
+        [this, world_dst = f.world_dst, env = std::move(env),
+         header = std::move(f.header_slot),
+         body = std::move(f.body_slot)]() mutable {
           // Per-pair mailbox FIFO order has already applied this
-          // sender's ingress charges, so the shared stamps are resolved
-          // by now.
-          env.header_arrival = *header_arrival;
-          env.arrival = *arrival;
+          // sender's ingress charges, so the slots are resolved by now.
+          env.header_arrival = *header;
+          env.arrival = body != nullptr ? *body : *header;
           schedule_delivery(world_dst, std::move(env));
         });
     return;
   }
-  env.header_arrival = *header_arrival;
-  env.arrival = *arrival;
-  schedule_delivery(world_dst, std::move(env));
+  env.header_arrival = f.header_arrival;
+  env.arrival = f.size > 0 ? f.arrival : f.header_arrival;
+  schedule_delivery(f.world_dst, std::move(env));
 }
 
 void Machine::deliver(int world_dst, Envelope env) {
@@ -256,6 +282,11 @@ EnvelopeSlab& Machine::slab_of(int world_dst) {
 }
 
 void Machine::deliver_now(int world_dst, Envelope&& env) {
+  if (env.scheduled) {
+    schedules_[static_cast<std::size_t>(world_dst)].deliver(*this, world_dst,
+                                                            std::move(env));
+    return;
+  }
   Endpoint& ep = endpoint(world_dst);
   const sim::SimTime arrival = env.arrival;
   const std::shared_ptr<RecvSlot> slot = ep.match_posted(env);
@@ -275,6 +306,10 @@ void Machine::deliver_now(int world_dst, Envelope&& env) {
 
 Endpoint& Machine::endpoint(int world_rank) {
   return endpoints_.at(static_cast<std::size_t>(world_rank));
+}
+
+Schedule& Machine::schedule(int world_rank) {
+  return schedules_.at(static_cast<std::size_t>(world_rank));
 }
 
 sim::Engine& Machine::engine() {

@@ -16,6 +16,7 @@
 
 #include "mpi/gathered.h"
 #include "mpi/message.h"
+#include "mpi/schedule.h"
 #include "sim/engine.h"
 #include "sim/topology.h"
 #include "util/mutex.h"
@@ -96,27 +97,31 @@ class Machine {
                         Envelope env, std::uint64_t bytes,
                         sim::SimTime start);
 
-  /// One transport pass of the framed (header/body) blob protocol:
-  /// charges the source-side leg inline; the destination-side ingress
-  /// charge is deferred to the destination's shard and written into
-  /// `*arrival_out` when it is applied. Single-threaded same-node runs
-  /// fill `*arrival_out` before returning.
-  void charge_transfer(int src_node, int dst_node, int world_dst,
-                       std::uint64_t bytes, sim::SimTime start,
-                       std::shared_ptr<sim::SimTime> arrival_out);
+  /// Starts one framed (header/body) send of `size` body bytes from the
+  /// executing actor: the two transport passes of the historical
+  /// two-message protocol, charged by charge_framed() and delivered as
+  /// one envelope by deliver_framed(). Comm::send_framed and the
+  /// schedule's framed Send both go through these three calls.
+  FramedSend begin_framed(int src_node, int dst_node, int world_dst,
+                          std::uint64_t size);
 
-  /// Delivers a framed envelope whose arrival stamps were produced by
-  /// charge_transfer(): the shared slots are read once the sender's
-  /// deferred ingress charges have resolved (mailbox FIFO order per
-  /// shard pair guarantees they drain first), then the delivery applies
-  /// at its body arrival time.
-  void deliver_framed(int src_node, int dst_node, int world_dst,
-                      Envelope env,
-                      std::shared_ptr<sim::SimTime> header_arrival,
-                      std::shared_ptr<sim::SimTime> arrival);
+  /// Charges one pass of `f` (the 8-byte size header, or the body) from
+  /// `start`: the source-side leg inline, and the destination's ingress
+  /// inline too unless it is deferred to the destination's shard.
+  void charge_framed(FramedSend& f, bool body, sim::SimTime start);
+
+  /// Delivers the framed envelope of `f` at its body arrival. Deferred
+  /// stamps are read on the destination's shard once the sender's
+  /// ingress charges have resolved (mailbox FIFO order per shard pair
+  /// guarantees they drain first).
+  void deliver_framed(FramedSend&& f, Envelope env);
 
   Endpoint& endpoint(int world_rank);
   sim::Engine& engine();
+
+  /// The collective schedule of `world_rank` (schedule.h), valid during
+  /// run().
+  Schedule& schedule(int world_rank);
 
   /// Verification observer for transport and run-lifecycle events (never
   /// null; defaults to verify::global_observer() or a no-op). Also
@@ -130,7 +135,8 @@ class Machine {
   /// takes it back out and calls deliver_now(). The destination's shard
   /// must be the executing shard.
   void schedule_delivery(int world_dst, Envelope&& env);
-  /// Applies a delivery to the destination endpoint (no scheduling).
+  /// Applies a delivery (no scheduling): to the destination's schedule
+  /// for schedule traffic, to its endpoint otherwise.
   void deliver_now(int world_dst, Envelope&& env);
   /// The in-flight slab of `world_dst`'s engine shard. A delivery is
   /// stashed and applied only on its target's shard, so each slab has
@@ -145,6 +151,8 @@ class Machine {
 
   sim::Cluster cluster_;
   std::vector<Endpoint> endpoints_;
+  /// One collective schedule per rank, during run().
+  std::vector<Schedule> schedules_;
   /// Envelopes in flight during run(), one slab per engine shard.
   std::vector<EnvelopeSlab> slabs_;
   /// Interned groups by content hash. Guarded: under lookahead, ranks on

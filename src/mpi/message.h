@@ -50,10 +50,29 @@ struct Envelope {
   /// whose size header virtually arrived at `header_arrival` — the
   /// receive side replays the old header+body charge pair from these.
   bool framed = false;
+  /// Collective schedule traffic (schedule.h): delivery hands it to the
+  /// receiver's schedule, never to its Endpoint.
+  bool scheduled = false;
   sim::SimTime header_arrival = 0.0;
   /// Shared collective result riding a framed envelope in place of its
   /// bytes (the body is then a size-only payload): see gathered.h.
   std::shared_ptr<const Gathered> shared;
+};
+
+/// One framed send between its transport passes (Machine::begin_framed).
+/// The arrival stamps are plain values when the destination's ingress is
+/// charged inline. When it is deferred to the destination's shard, each
+/// pass's stamp lives in a slot that shard fills as it drains the charge.
+struct FramedSend {
+  int src_node = 0;
+  int dst_node = 0;
+  int world_dst = 0;
+  std::uint64_t size = 0;  ///< body bytes (the size header is 8)
+  bool deferred = false;
+  sim::SimTime header_arrival = 0.0;
+  sim::SimTime arrival = 0.0;
+  std::shared_ptr<sim::SimTime> header_slot;  ///< deferred only
+  std::shared_ptr<sim::SimTime> body_slot;    ///< deferred, size > 0 only
 };
 
 /// A posted (possibly pending) receive.

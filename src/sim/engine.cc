@@ -29,27 +29,34 @@ void Actor::advance_to(SimTime t) { clock_ = std::max(clock_, t); }
 
 void Actor::sync() {
   engine_->assert_exclusive();
-  engine_->yield_slice(id_, /*kind=*/2);
+  if (!engine_->sync_boundary(id_, /*kind=*/2)) engine_->yield_from(id_);
 }
 
 void Actor::sync_local() {
   engine_->assert_exclusive();
-  engine_->yield_slice(id_, /*kind=*/1);
+  if (!engine_->sync_boundary(id_, /*kind=*/1)) engine_->yield_from(id_);
 }
 
 void Actor::park() {
   engine_->assert_exclusive();
-  auto& slot = engine_->actors_[static_cast<std::size_t>(id_)];
-  if (slot.wake_token) {
-    // An unpark raced ahead of this park (cross-shard wakeups, or a
-    // waker that ran while we were still runnable): consume the token
-    // instead of blocking on a wakeup that already happened.
-    slot.wake_token = false;
-    advance_to(slot.wake_time);
-    slot.wake_time = 0.0;
-    return;
-  }
-  slot.state = Engine::State::kParked;
+  if (!engine_->park_boundary(id_)) engine_->yield_from(id_);
+}
+
+bool Actor::try_sync_local() {
+  engine_->assert_exclusive();
+  return engine_->sync_boundary(id_, /*kind=*/1);
+}
+
+bool Actor::try_park() {
+  engine_->assert_exclusive();
+  return engine_->park_boundary(id_);
+}
+
+void Actor::suspend() {
+  engine_->assert_exclusive();
+  MCIO_CHECK_MSG(engine_->continuation_handler_,
+                 "suspend() without a continuation handler");
+  engine_->actors_[static_cast<std::size_t>(id_)].continuation = true;
   engine_->yield_from(id_);
 }
 
@@ -74,6 +81,12 @@ void Engine::set_lookahead_provider(
 void Engine::set_timed_handler(TimedHandler handler) {
   MCIO_CHECK_MSG(!running_, "set_timed_handler() after run() started");
   timed_handler_ = std::move(handler);
+}
+
+void Engine::set_continuation_handler(ContinuationHandler handler) {
+  MCIO_CHECK_MSG(!running_,
+                 "set_continuation_handler() after run() started");
+  continuation_handler_ = std::move(handler);
 }
 
 Engine::~Engine() = default;
@@ -305,7 +318,12 @@ void Engine::run_slice(int id, FiberContext* scheduler_ctx) {
   auto& slot = actors_[static_cast<std::size_t>(id)];
   slot.state = State::kRunning;
   observer_->on_actor_resumed(id, slot.actor->now());
-  slot.fiber->resume_from(scheduler_ctx);
+  // A suspended fiber stays switched out until its continuation is done;
+  // then it resumes inside this slice, where the fiber loop would have.
+  if (!slot.continuation || continuation_handler_(id)) {
+    slot.continuation = false;
+    slot.fiber->resume_from(scheduler_ctx);
+  }
   observer_->on_actor_yielded(id, slot.actor->now());
 }
 
@@ -708,7 +726,7 @@ SimTime Engine::makespan() const {
   return t;
 }
 
-void Engine::yield_slice(int id, int kind) {
+bool Engine::sync_boundary(int id, int kind) {
   if (nshards_ == 1) {
     const SimTime now = actors_[static_cast<std::size_t>(id)].actor->now();
     if (heap_.empty() || Key{now, kind, id, -1} < heap_.top().key) {
@@ -722,11 +740,26 @@ void Engine::yield_slice(int id, int kind) {
       seq_exec_ = ExecCtx{now, id, seq_exec_.next_seq, /*posts_left=*/-1};
       seq_exec_.kind = kind;
       observer_->on_actor_resumed(id, now);
-      return;
+      return true;
     }
   }
   enqueue_slice(id, kind);
-  yield_from(id);
+  return false;
+}
+
+bool Engine::park_boundary(int id) {
+  auto& slot = actors_[static_cast<std::size_t>(id)];
+  if (slot.wake_token) {
+    // An unpark raced ahead of this park (cross-shard wakeups, or a
+    // waker that ran while we were still runnable): consume the token
+    // instead of blocking on a wakeup that already happened.
+    slot.wake_token = false;
+    slot.actor->advance_to(slot.wake_time);
+    slot.wake_time = 0.0;
+    return true;
+  }
+  slot.state = State::kParked;
+  return false;
 }
 
 void Engine::yield_from(int id) {

@@ -40,6 +40,14 @@
 // executing context with the actor's seq counter carried over), so the
 // slice sequence every observer sees is unchanged.
 //
+// Continuation slices: an actor may hand the rest of a blocking sequence
+// to a continuation (Actor::suspend()). Its later slices pop exactly as
+// before, but the engine calls the one continuation handler the owner
+// registered instead of switching to the fiber, and the fiber resumes
+// inside the slice where the handler reports the work done. Fibers and
+// continuations cross slice boundaries through one test (sync_boundary),
+// so keys, elision and observer calls are the same either way.
+//
 // Sharded mode (Options::threads > 1, DESIGN.md §12): actors are
 // partitioned into shards by a spawn-time hint (the machine passes the
 // rank's node), each shard's fibers are pinned to one worker thread, and
@@ -146,6 +154,20 @@ class Actor {
   /// arrived while this actor was still runnable (the wakeup token of
   /// DESIGN.md §12), park() consumes it and returns without blocking.
   void park();
+
+  /// Continuation forms of sync_local() and park(), for work that runs
+  /// outside the fiber (Engine::set_continuation_handler). Each returns
+  /// true when the actor goes on in the executing slice: the boundary
+  /// was elided, or a wakeup token was consumed. False means the slice
+  /// is over, with the actor enqueued (or parked): the caller returns to
+  /// the engine, or, on the fiber, calls suspend().
+  bool try_sync_local();
+  bool try_park();
+
+  /// On the fiber, after a false try_sync_local()/try_park(): ends the
+  /// slice and hands every later slice of this actor to the continuation
+  /// handler until it returns true. Returns inside that slice.
+  void suspend();
 
   Engine& engine() const { return *engine_; }
 
@@ -289,6 +311,16 @@ class Engine {
                                           std::uint32_t token)>;
   void set_timed_handler(TimedHandler handler);
 
+  /// Called for each slice of an actor whose fiber is suspended in
+  /// Actor::suspend(), in place of the fiber switch. The handler runs the
+  /// actor's pending work through the continuation forms of the slice
+  /// boundaries and returns true when it is done; the engine then
+  /// resumes the fiber inside that same slice. Must be set before run()
+  /// if any actor suspends; the machine registers its collective
+  /// schedule runner (DESIGN.md §16).
+  using ContinuationHandler = std::function<bool(int actor)>;
+  void set_continuation_handler(ContinuationHandler handler);
+
   /// Schedules a timed event on `target_actor`'s shard — which must be
   /// the executing event's own shard — at virtual time `t`, keyed
   /// (t, stamping actor, seq) in the shard's event order. When it pops,
@@ -341,6 +373,9 @@ class Engine {
     /// slices of one actor cannot collide) and identical between the
     /// sequenced and lookahead schedulers.
     std::int64_t next_seq = 0;
+    /// The fiber is suspended in Actor::suspend(): slices call the
+    /// continuation handler instead of switching to it.
+    bool continuation = false;
   };
 
   /// One schedulable event, plain data so the heap moves 32 bytes per
@@ -415,10 +450,14 @@ class Engine {
     std::exception_ptr error;
   };
 
-  /// sync()/sync_local(): ends the executing slice of `id` and
-  /// re-enqueues it as a `kind` slice, eliding the round trip when the
-  /// classic loop would pop it straight back (see the file comment).
-  void yield_slice(int id, int kind) MCIO_REQUIRES(mu_);
+  /// The slice boundary of sync()/sync_local() and their continuation
+  /// forms: returns true when the classic loop would pop a `kind` slice
+  /// of `id` straight back, after replaying the boundary in place (see
+  /// the file comment); otherwise enqueues that slice and returns false,
+  /// and the caller must end the executing slice.
+  bool sync_boundary(int id, int kind) MCIO_REQUIRES(mu_);
+  /// Parks `id` unless a wakeup token is pending (consumed: true).
+  bool park_boundary(int id) MCIO_REQUIRES(mu_);
   void yield_from(int id) MCIO_REQUIRES(mu_);   // fiber -> scheduler
   void enqueue_slice(int id, int kind) MCIO_REQUIRES(mu_);
   void body_wrapper(int id, const std::function<void(Actor&)>& body)
@@ -503,6 +542,7 @@ class Engine {
   bool stop_ MCIO_GUARDED_BY(mu_) = false;
   verify::Observer* observer_;
   TimedHandler timed_handler_;
+  ContinuationHandler continuation_handler_;
   std::exception_ptr error_ MCIO_GUARDED_BY(mu_);
   std::vector<SimTime> finish_times_;
   bool running_ = false;

@@ -818,7 +818,9 @@ void Analyzer::analyze(const std::string& path, const std::string& content) {
     }
     constexpr int kWindow = 20;  // lines, matching tools/lint.py
     for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (toks[i].kind != Tok::Kind::kIdent || toks[i].text != "park" ||
+      // try_park() is the continuation form of park() (DESIGN.md §16).
+      if (toks[i].kind != Tok::Kind::kIdent ||
+          (toks[i].text != "park" && toks[i].text != "try_park") ||
           toks[i + 1].text != "(" || toks[i + 2].text != ")") {
         continue;
       }

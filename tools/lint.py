@@ -19,7 +19,8 @@ Rules, scoped to src/ and tests/ (see DESIGN.md §8 for the rationale):
   untagged-narrowing  a `.size()` (size_t) value bound to an `int` without
                       an explicit static_cast silently truncates at scale;
                       tag the narrowing with static_cast<int>(...).
-  unobserved-park     a blocking `park()` outside the scheduler itself must
+  unobserved-park     a blocking `park()` (or its continuation form
+                      `try_park()`) outside the scheduler itself must
                       tell the verification observer what it waits on
                       (on_wait_begin/on_wait_end) so a deadlock report can
                       name the missing message. New engine touch points
@@ -63,7 +64,7 @@ RE_INT_FROM_SIZE = re.compile(
     r"(?<![\w_])(?:int|std::int32_t|int32_t)\s+\w+\s*[({=][^;]*\.size\(\)"
 )
 RE_SIZE_CAST = re.compile(r"static_cast<[^>]+>\s*\([^;]*\.size\(\)")
-RE_PARK = re.compile(r"(?<![\w_.])(?:\w+\.)?park\s*\(\s*\)")
+RE_PARK = re.compile(r"(?<![\w_.])(?:\w+\.)?(?:try_)?park\s*\(\s*\)")
 RE_WAIT_HOOK = re.compile(r"on_wait_begin\s*\(")
 # Banned includes/uses in the deterministic dirs (the fast subset of
 # mcio-analyze's wall-clock/raw-random rules).
