@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   w.interleaved = true;
   const double stdev = cli.get_double("mem-stdev", 0.5);
   const bool hier = cli.get_bool("hier", false);
-  const bench::ParallelFlags par(cli);
+  const int threads = bench::threads_flag(cli);
   bench::JsonReporter rep(cli, "fig7_ior120");
   bench::configure_audit(cli);
   cli.check_unused();
@@ -44,10 +44,8 @@ int main(int argc, char** argv) {
   base.testbed = tb;
   base.mem_stdev = stdev;
   base.hints.cb_node_leaders = hier;
-  base.sim_shards = par.sim_shards;
-  base.sim_lookahead = par.lookahead;
   const auto points = bench::run_memory_sweep(
-      par.threads, bench::paper_memory_sweep(), base, make_plan);
+      threads, bench::paper_memory_sweep(), base, make_plan);
   for (const bench::SweepPoint& pt : points) {
     const std::uint64_t mem = pt.mem_bytes;
     const bench::RunResult& normal = pt.normal;

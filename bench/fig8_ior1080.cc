@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   w.interleaved = true;
   const double stdev = cli.get_double("mem-stdev", 0.5);
   const bool hier = cli.get_bool("hier", false);
-  const bench::ParallelFlags par(cli);
+  const int threads = bench::threads_flag(cli);
   std::string tsweep_csv = cli.get_string("threads-sweep", "");
   if (tsweep_csv == "true") tsweep_csv = "1,2,4,8";  // bare flag
   const bool tsweep_mode = !tsweep_csv.empty();
@@ -70,8 +70,6 @@ int main(int argc, char** argv) {
   base.testbed = tb;
   base.mem_stdev = stdev;
   base.hints.cb_node_leaders = hier;
-  base.sim_shards = par.sim_shards;
-  base.sim_lookahead = par.lookahead;
   const auto mems = bench::paper_memory_sweep();
 
   std::vector<bench::SweepPoint> points;
@@ -111,16 +109,14 @@ int main(int argc, char** argv) {
           .set("threads", t)
           .set("speedup_vs_1", speedup)
           .set("task_s", task_s)
-          .set("host_cpus", static_cast<std::uint64_t>(host_cpus))
-          .set("sim_shards", par.sim_shards)
-          .set("lookahead", par.lookahead);
+          .set("host_cpus", static_cast<std::uint64_t>(host_cpus));
       ttable.add(t, util::fixed(wall), util::fixed(speedup));
     }
     std::cout << "# Figure 8 — thread-scaling sweep (results identical at "
                  "every count)\n";
     ttable.print(std::cout);
   } else {
-    points = bench::run_memory_sweep(par.threads, mems, base, make_plan);
+    points = bench::run_memory_sweep(threads, mems, base, make_plan);
   }
 
   util::Table table({"mem/agg", "normal wr MB/s", "mccio wr MB/s",
@@ -138,22 +134,22 @@ int main(int argc, char** argv) {
 
     const double wr_gain = mccio.write_bw / normal.write_bw - 1.0;
     const double rd_gain = mccio.read_bw / normal.read_bw - 1.0;
-    if (!tsweep_mode) {
-      util::Json& point =
-          rep.add_point(util::format_bytes(mem), pt.meter)
-              .set("mem_bytes", mem)
-              .set("normal_write_mbs", normal.write_bw / 1e6)
-              .set("mccio_write_mbs", mccio.write_bw / 1e6)
-              .set("normal_read_mbs", normal.read_bw / 1e6)
-              .set("mccio_read_mbs", mccio.read_bw / 1e6)
-              .set("mccio_aggregators", mccio.write_stats.num_aggregators())
-              .set("mccio_groups", mccio.write_stats.num_groups());
-      bench::set_message_counters(point, "normal_write_",
-                                  normal.write_stats);
-      bench::set_message_counters(point, "normal_read_", normal.read_stats);
-      bench::set_message_counters(point, "mccio_write_", mccio.write_stats);
-      bench::set_message_counters(point, "mccio_read_", mccio.read_stats);
-    }
+    // In --threads-sweep mode these follow the thread-count points, so
+    // the snapshot's simulated fields can be checked against the flat
+    // one (tools/perfdiff.py).
+    util::Json& point =
+        rep.add_point(util::format_bytes(mem), pt.meter)
+            .set("mem_bytes", mem)
+            .set("normal_write_mbs", normal.write_bw / 1e6)
+            .set("mccio_write_mbs", mccio.write_bw / 1e6)
+            .set("normal_read_mbs", normal.read_bw / 1e6)
+            .set("mccio_read_mbs", mccio.read_bw / 1e6)
+            .set("mccio_aggregators", mccio.write_stats.num_aggregators())
+            .set("mccio_groups", mccio.write_stats.num_groups());
+    bench::set_message_counters(point, "normal_write_", normal.write_stats);
+    bench::set_message_counters(point, "normal_read_", normal.read_stats);
+    bench::set_message_counters(point, "mccio_write_", mccio.write_stats);
+    bench::set_message_counters(point, "mccio_read_", mccio.read_stats);
     wr_gain_sum += wr_gain;
     rd_gain_sum += rd_gain;
     ++count;

@@ -85,8 +85,7 @@ const char* driver_kind_name(DriverKind kind) {
   return "?";
 }
 
-RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
-                        const OracleOptions& options) {
+RunOutcome run_scenario(const Scenario& scenario, DriverKind kind) {
   scenario.validate();
   RunOutcome out;
 
@@ -106,8 +105,6 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
   cluster.num_nodes = scenario.nodes;
   cluster.ranks_per_node = scenario.ranks_per_node;
   mpi::Machine machine(cluster);
-  machine.set_sim_shards(options.sim_shards);
-  machine.set_sim_lookahead(options.lookahead);
   machine.set_observer(&audit);
 
   pfs::PfsConfig pfs_config;
@@ -244,14 +241,13 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
   return out;
 }
 
-DiffResult run_differential(const Scenario& scenario,
-                            const OracleOptions& options) {
+DiffResult run_differential(const Scenario& scenario) {
   DiffResult result;
   result.scenario = scenario;
   for (const DriverKind kind : {DriverKind::kMccio, DriverKind::kTwoPhase,
                                 DriverKind::kIndependent}) {
     result.runs[static_cast<int>(kind)] =
-        run_scenario(scenario, kind, options);
+        run_scenario(scenario, kind);
   }
   return result;
 }

@@ -53,9 +53,8 @@ struct RunOutcome {
   /// Tolerated byte-duplicate findings (overlap scenarios only).
   std::uint64_t tolerated_duplicates = 0;
   /// This run's private-auditor totals — every event the run produced.
-  /// The shards-matrix determinism tests compare these across engine
-  /// shard counts (the audit trail must be identical, not just the
-  /// bytes).
+  /// The determinism tests compare these across host thread counts (the
+  /// audit trail must be identical, not just the bytes).
   verify::AuditCounters counters;
 };
 
@@ -76,25 +75,13 @@ struct DiffResult {
   std::string classify() const;
 };
 
-/// Host-side knobs of one oracle run. None changes any simulated byte:
-/// sim_shards shards the engine's workers (DESIGN.md §12), lookahead
-/// lets those workers run concurrently inside the topology-derived
-/// lookahead window (DESIGN.md §14), and the shards-matrix soak in
-/// tools/fuzz_driver.cc asserts exactly that.
-struct OracleOptions {
-  int sim_shards = 1;
-  bool lookahead = false;
-};
-
 /// Runs the scenario under one driver on a fresh simulated machine.
 /// Reentrant: each run audits through its own deferred Auditor (folding
 /// monotone counters into the global totals), so concurrent calls from a
 /// case-parallel fuzz loop are safe.
-RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
-                        const OracleOptions& options = {});
+RunOutcome run_scenario(const Scenario& scenario, DriverKind kind);
 
 /// Runs all three drivers and compares.
-DiffResult run_differential(const Scenario& scenario,
-                            const OracleOptions& options = {});
+DiffResult run_differential(const Scenario& scenario);
 
 }  // namespace mcio::fuzz

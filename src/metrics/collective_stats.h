@@ -6,7 +6,6 @@
 // records all of it here.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -56,14 +55,9 @@ struct AggregatorRecord {
   int rounds = 0;
 };
 
-/// Shared by every rank of a collective, so record_* calls can arrive
-/// concurrently from lookahead shard workers. Integer counters bump
-/// through relaxed atomics — sums are commutative, so totals cannot
-/// depend on the scheduler mode. The order-sensitive state (the
-/// aggregator vector, the virtual-seconds accumulators) is only ever
-/// reached from globally-serialized slices (ladder/PFS paths), which
-/// the lookahead scheduler runs in the exact sequenced order; readers
-/// are quiescent (between collectives / after the run).
+/// Shared by every rank of a collective; record_* calls arrive in the
+/// engine's event order. Readers are quiescent (between collectives /
+/// after the run).
 class CollectiveStats {
  public:
   void record_aggregator(const AggregatorRecord& record);
@@ -152,12 +146,8 @@ class CollectiveStats {
   void clear();
 
  private:
-  /// Relaxed atomic increment of a plain counter (C++20 atomic_ref):
-  /// callers on concurrent shard workers sum without tearing and without
-  /// imposing any ordering the totals do not need.
   static void bump(std::uint64_t& counter, std::uint64_t v = 1) {
-    std::atomic_ref<std::uint64_t>(counter).fetch_add(
-        v, std::memory_order_relaxed);
+    counter += v;
   }
 
   std::vector<AggregatorRecord> aggregators_;

@@ -63,8 +63,6 @@ void Comm::send(int dst, int tag, util::ConstPayload data) {
   env.src = rank();
   env.tag = tag;
   env.body = util::OwnedPayload(data);
-  // Source-side transport is charged here; a cross-shard receiver's NIC
-  // ingress + delivery apply on its own shard at this slice's stamp.
   machine_->transfer_deliver(node_of(rank()), node_of(dst), wdst,
                              std::move(env), data.size, actor.now());
   actor.advance(machine_->config().send_overhead);

@@ -86,10 +86,10 @@ class Gathered {
 
   /// The value derived from this result, computed once: the first caller
   /// runs `make` (returning std::shared_ptr<const R>), every later caller
-  /// — on any engine shard's thread — waits for it and shares the same
-  /// object. `make` must not yield the calling fiber (a fiber parked
-  /// inside the guard would block its shard's thread), and every caller
-  /// must ask for the same R: one collective, one derived value.
+  /// shares the same object. `make` must not yield the calling fiber (a
+  /// fiber parked inside the guard would block the engine's thread), and
+  /// every caller must ask for the same R: one collective, one derived
+  /// value.
   template <typename R, typename Make>
   std::shared_ptr<const R> derive(Make&& make) const {
     std::call_once(derive_once_, [&] {

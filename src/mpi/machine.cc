@@ -19,22 +19,13 @@ std::vector<sim::SimTime> Machine::run(
                  "nranks " << nranks << " exceeds cluster slots "
                            << cluster_.total_ranks());
   endpoints_.assign(static_cast<std::size_t>(nranks), Endpoint{});
-  sim::Engine::Options eopt;
-  eopt.threads = sim_shards_;
-  eopt.lookahead = sim_lookahead_;
-  sim::Engine engine(eopt);
+  sim::Engine engine;
   engine.set_observer(observer_);
-  engine.set_lookahead_provider(
-      [this](const std::vector<int>& shard_of, int nshards) {
-        return sim::shard_lookahead_matrix(cluster_.config(), shard_of,
-                                           nshards);
-      });
-  // Fresh slabs per run: a run that aborted mid-flight leaves stashed
-  // envelopes behind, and shard_of() never exceeds sim_shards_ - 1.
-  slabs_.clear();
-  slabs_.resize(static_cast<std::size_t>(sim_shards_));
+  // A fresh slab per run: a run that aborted mid-flight leaves stashed
+  // envelopes behind.
+  slab_ = EnvelopeSlab{};
   engine.set_timed_handler([this](int world_dst, std::uint32_t token) {
-    deliver_now(world_dst, slab_of(world_dst).take(token));
+    deliver_now(world_dst, slab_.take(token));
   });
   schedules_.clear();
   schedules_.resize(static_cast<std::size_t>(nranks));
@@ -48,26 +39,22 @@ std::vector<sim::SimTime> Machine::run(
     world_group_ = intern_group(std::move(world));
   }
   for (int r = 0; r < nranks; ++r) {
-    // Shard hint = the rank's node: co-located ranks (dense intra-node
-    // traffic) share a worker; only NIC/fabric traffic crosses shards.
-    engine.spawn(
-        [this, r, &body](sim::Actor& actor) {
-          Rank rank(*this, actor, r);
-          body(rank);
-        },
-        cluster_.node_of_rank(r));
+    engine.spawn([this, r, &body](sim::Actor& actor) {
+      Rank rank(*this, actor, r);
+      body(rank);
+    });
   }
   try {
     engine.run();
   } catch (...) {
     engine_ = nullptr;
-    slabs_.clear();
+    slab_ = EnvelopeSlab{};
     schedules_.clear();
     observer_->on_run_aborted();
     throw;
   }
   engine_ = nullptr;
-  slabs_.clear();
+  slab_ = EnvelopeSlab{};
   // Every collective consumed the schedule messages addressed to it: a
   // leftover early arrival means two ranks disagreed on a collective
   // without deadlocking, which the matching contract rules out.
@@ -94,23 +81,11 @@ std::vector<sim::SimTime> Machine::run(
   return engine.finish_times();
 }
 
-void Machine::set_sim_shards(int shards) {
-  MCIO_CHECK_GE(shards, 1);
-  MCIO_CHECK_MSG(engine_ == nullptr, "set_sim_shards during run()");
-  sim_shards_ = shards;
-}
-
-void Machine::set_sim_lookahead(bool lookahead) {
-  MCIO_CHECK_MSG(engine_ == nullptr, "set_sim_lookahead during run()");
-  sim_lookahead_ = lookahead;
-}
-
 std::shared_ptr<const CommGroup> Machine::intern_group(
     std::vector<int> world_members) {
   // Content hash (FNV-1a over the member list): the id is a pure
-  // function of the membership, so concurrent first-interning ranks on
-  // different shards agree without coordination and the id can never
-  // leak shard-placement order into figures or audit keys. The top bit
+  // function of the membership, so it can never leak the order in which
+  // ranks first intern a group into figures or audit keys. The top bit
   // is reserved for Comm::dup()'s generated ids.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -125,7 +100,6 @@ std::shared_ptr<const CommGroup> Machine::intern_group(
   }
   h &= ~(1ull << 63);
   if (h == 0) h = 1;
-  const util::MutexLock lk(group_mu_);
   auto& slot = groups_[h];
   if (slot != nullptr) {
     MCIO_CHECK_MSG(slot->members == world_members,
@@ -174,37 +148,10 @@ sim::SimTime Machine::shm_transfer(int node, std::uint64_t bytes,
   return cluster_.shm(node).serve(start, static_cast<double>(bytes));
 }
 
-bool Machine::defer_ingress(int world_dst) const {
-  if (engine_ == nullptr) return false;
-  return engine_->cross_shard(world_dst) || engine_->lookahead_active();
-}
-
 void Machine::transfer_deliver(int src_node, int dst_node, int world_dst,
                                Envelope env, std::uint64_t bytes,
                                sim::SimTime start) {
-  const auto fbytes = static_cast<double>(bytes);
-  if (src_node == dst_node) {
-    // Intra-node: one membus pass; same node means same shard, so the
-    // delivery schedules directly on the executing shard.
-    env.arrival = cluster_.membus(src_node).serve(start, fbytes);
-    schedule_delivery(world_dst, std::move(env));
-    return;
-  }
-  const sim::SimTime sent = cluster_.nic_out(src_node).serve(start, fbytes);
-  if (defer_ingress(world_dst)) {
-    // The receiver's NIC ingress is charged on the destination's shard
-    // at this slice's stamp in the merged order, which reproduces the
-    // sequenced ingress-queue FIFO exactly.
-    engine_->post_stamped(
-        world_dst,
-        [this, dst_node, world_dst, fbytes, sent,
-         env = std::move(env)]() mutable {
-          env.arrival = cluster_.nic_in(dst_node).serve(sent, fbytes);
-          schedule_delivery(world_dst, std::move(env));
-        });
-    return;
-  }
-  env.arrival = cluster_.nic_in(dst_node).serve(sent, fbytes);
+  env.arrival = transfer(src_node, dst_node, bytes, start);
   schedule_delivery(world_dst, std::move(env));
 }
 
@@ -215,48 +162,17 @@ FramedSend Machine::begin_framed(int src_node, int dst_node, int world_dst,
   f.dst_node = dst_node;
   f.world_dst = world_dst;
   f.size = size;
-  f.deferred = src_node != dst_node && defer_ingress(world_dst);
   return f;
 }
 
 void Machine::charge_framed(FramedSend& f, bool body, sim::SimTime start) {
-  const auto fbytes =
-      static_cast<double>(body ? f.size : sizeof(std::uint64_t));
-  sim::SimTime& stamp = body ? f.arrival : f.header_arrival;
-  if (f.src_node == f.dst_node) {
-    stamp = cluster_.membus(f.src_node).serve(start, fbytes);
-    return;
-  }
-  const sim::SimTime sent = cluster_.nic_out(f.src_node).serve(start, fbytes);
-  if (!f.deferred) {
-    stamp = cluster_.nic_in(f.dst_node).serve(sent, fbytes);
-    return;
-  }
-  auto slot = std::make_shared<sim::SimTime>(0.0);
-  (body ? f.body_slot : f.header_slot) = slot;
-  engine_->post_stamped(
-      f.world_dst, [this, dst_node = f.dst_node, fbytes, sent,
-                    slot = std::move(slot)] {
-        *slot = cluster_.nic_in(dst_node).serve(sent, fbytes);
-      });
+  (body ? f.arrival : f.header_arrival) =
+      transfer(f.src_node, f.dst_node, body ? f.size : sizeof(std::uint64_t),
+               start);
 }
 
 void Machine::deliver_framed(FramedSend&& f, Envelope env) {
   env.framed = true;
-  if (f.deferred) {
-    engine_->post_stamped(
-        f.world_dst,
-        [this, world_dst = f.world_dst, env = std::move(env),
-         header = std::move(f.header_slot),
-         body = std::move(f.body_slot)]() mutable {
-          // Per-pair mailbox FIFO order has already applied this
-          // sender's ingress charges, so the slots are resolved by now.
-          env.header_arrival = *header;
-          env.arrival = body != nullptr ? *body : *header;
-          schedule_delivery(world_dst, std::move(env));
-        });
-    return;
-  }
   env.header_arrival = f.header_arrival;
   env.arrival = f.size > 0 ? f.arrival : f.header_arrival;
   schedule_delivery(f.world_dst, std::move(env));
@@ -268,17 +184,11 @@ void Machine::deliver(int world_dst, Envelope env) {
 
 void Machine::schedule_delivery(int world_dst, Envelope&& env) {
   // Deliveries apply at their arrival virtual time, keyed (arrival,
-  // stamping actor, seq) — identical in every scheduler mode, which is
-  // what keeps any-source matching and unexpected-queue contents
-  // byte-identical between the sequenced and lookahead paths.
+  // stamping actor, seq), which fixes any-source matching and
+  // unexpected-queue contents.
   MCIO_CHECK_MSG(engine_ != nullptr, "delivery outside run()");
   const sim::SimTime arrival = env.arrival;
-  engine_->post_at(world_dst, arrival,
-                   slab_of(world_dst).stash(std::move(env)));
-}
-
-EnvelopeSlab& Machine::slab_of(int world_dst) {
-  return slabs_[static_cast<std::size_t>(engine_->shard_of(world_dst))];
+  engine_->post_at(world_dst, arrival, slab_.stash(std::move(env)));
 }
 
 void Machine::deliver_now(int world_dst, Envelope&& env) {

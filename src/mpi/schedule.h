@@ -43,8 +43,7 @@ namespace mcio::mpi {
 class Machine;
 
 /// One rank's collective schedule. Machine keeps one per rank; only that
-/// rank's slices and the deliveries addressed to it touch it, and both
-/// run on the rank's engine shard.
+/// rank's slices and the deliveries addressed to it touch it.
 class Schedule {
  public:
   /// Starts a schedule of `actor`, rank `rank` on `node` of communicator

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/engine.h"
 #include "util/check.h"
 
 namespace mcio::node {
@@ -106,10 +105,6 @@ std::uint64_t MemoryManager::capacity(int node) const {
 }
 
 Lease MemoryManager::grant(int node, std::uint64_t bytes) {
-  // The manager is machine-global state: its balances feed every rank's
-  // grant decisions, so mutations must come from globally-serialized
-  // slices or lookahead results would diverge from the sequenced order.
-  sim::assert_global_interaction("memory lease grant");
   const auto i = static_cast<std::size_t>(node);
   MCIO_CHECK_LT(i, capacity_.size());
   const std::uint64_t avail = available(node);
@@ -149,9 +144,6 @@ LeaseAttempt MemoryManager::try_lease(int node, std::uint64_t bytes,
 
 int MemoryManager::elect_donor(int borrower, std::uint64_t bytes,
                                std::uint64_t reserve) const {
-  // A read, but one whose answer orders against other ranks' grants —
-  // must come from a globally-serialized slice like the mutations.
-  sim::assert_global_interaction("memory donor election");
   int best = -1;
   std::uint64_t best_avail = 0;
   for (int n = 0; n < num_nodes(); ++n) {
@@ -213,7 +205,6 @@ double MemoryManager::bw_scale_for(double pressure,
 }
 
 void MemoryManager::release(int node, std::uint64_t bytes) {
-  sim::assert_global_interaction("memory lease release");
   const auto i = static_cast<std::size_t>(node);
   MCIO_CHECK_LT(i, capacity_.size());
   MCIO_CHECK_GE(leased_[i], bytes);

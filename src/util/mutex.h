@@ -2,8 +2,8 @@
 //
 // libstdc++'s std::mutex carries no clang capability attribute, so fields
 // guarded by a bare std::mutex are invisible to -Wthread-safety. All
-// mutex members in the concurrent layers (src/sim, src/verify, src/util,
-// bench) are util::Mutex instead: the same std::mutex underneath, plus
+// mutex members in the concurrent layers (src/verify, src/util, bench)
+// are util::Mutex instead: the same std::mutex underneath, plus
 // the annotations that let the analysis prove the lock discipline. The
 // wrapper adds no state and every method is a single inlined forward.
 #pragma once

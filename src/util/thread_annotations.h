@@ -1,22 +1,18 @@
 // Clang thread-safety capability annotations (no-ops off-clang).
 //
-// The sharded engine (DESIGN.md §12) relies on a strict lock discipline:
-// one worker holds the scheduler lock across a whole slice, cross-shard
-// effects travel through stamped mailboxes, and the bench/fuzz pools
-// share only explicitly guarded error slots and monotone counters. These
-// macros let clang's -Wthread-safety analysis (enforced with -Werror in
-// the clang-thread-safety CI job; see DESIGN.md §13) prove that every
-// access to a guarded field happens under its capability — at compile
-// time, before a race can reach the determinism tests.
+// The bench/fuzz host pools (DESIGN.md §12) share only explicitly guarded
+// error slots and counters, plus the auditor's counter absorb, memtrack
+// and the log sink. These macros let clang's -Wthread-safety analysis
+// (enforced with -Werror in the clang-thread-safety CI job; see
+// DESIGN.md §13) prove that every access to a guarded field happens
+// under its capability — at compile time, before a race can reach the
+// determinism tests.
 //
 // Discipline for new code: every mutex member is a util::Mutex (not a
 // bare std::mutex — libstdc++'s std::mutex carries no capability
 // attribute, so the analysis cannot track it); every field it protects
 // is tagged MCIO_GUARDED_BY(mu_); every helper that assumes the lock is
-// tagged MCIO_REQUIRES(mu_). Paths whose exclusion is guaranteed by the
-// engine's sequencing rather than by a visible acquisition assert it
-// with an MCIO_ASSERT_CAPABILITY-annotated helper (Engine::
-// assert_sequenced()) instead of switching the analysis off.
+// tagged MCIO_REQUIRES(mu_).
 #pragma once
 
 #if defined(__clang__)
@@ -63,7 +59,7 @@
   MCIO_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
 /// Tells the analysis the capability is held here even though it cannot
-/// see the acquisition (e.g. the engine's slice sequencing). Runtime
+/// see the acquisition (a structural exclusion argument). Runtime
 /// no-op; use only where the exclusion argument is written down.
 #define MCIO_ASSERT_CAPABILITY(x) \
   MCIO_THREAD_ANNOTATION(assert_capability(x))

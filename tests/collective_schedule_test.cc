@@ -4,8 +4,8 @@
 // the dissemination barrier, the binomial gather of the wire bundle, and
 // the binomial broadcast of that bundle as a framed blob. Both sides must
 // agree bit for bit on results, final clocks, audit counters and every
-// node's NIC/membus/shm queue state, in every scheduler mode, with
-// clock skew and interfering traffic on the same NICs.
+// node's NIC/membus/shm queue state, with clock skew and interfering
+// traffic on the same NICs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -231,23 +231,11 @@ struct Outcome {
   std::vector<QueueState> queues;  ///< per node: nic_out, nic_in, membus, shm
 };
 
-struct Mode {
-  int shards = 1;
-  bool lookahead = false;
-};
-
-std::string mode_name(const Mode& m) {
-  return "shards=" + std::to_string(m.shards) +
-         (m.lookahead ? " lookahead" : "");
-}
-
-Outcome run_scenario(int p, const Mode& mode, bool reference) {
+Outcome run_scenario(int p, bool reference) {
   sim::ClusterConfig cfg;
   cfg.ranks_per_node = 4;
   cfg.num_nodes = (p + 3) / 4;
   Machine machine(cfg);
-  machine.set_sim_shards(mode.shards);
-  machine.set_sim_lookahead(mode.lookahead);
   verify::Auditor audit;
   audit.set_deferred(true);
   machine.set_observer(&audit);
@@ -300,15 +288,12 @@ void expect_identical(const Outcome& lib, const Outcome& ref) {
 
 class ScheduleMatchesFiberLoops : public ::testing::TestWithParam<int> {};
 
+// The engine has one scheduler; the name is kept so test ids stay stable.
 TEST_P(ScheduleMatchesFiberLoops, InEverySchedulerMode) {
   const int p = GetParam();
-  for (const Mode mode : {Mode{1, false}, Mode{2, false}, Mode{4, false},
-                          Mode{2, true}, Mode{4, true}}) {
-    SCOPED_TRACE(mode_name(mode));
-    const Outcome lib = run_scenario(p, mode, /*reference=*/false);
-    const Outcome ref = run_scenario(p, mode, /*reference=*/true);
-    expect_identical(lib, ref);
-  }
+  const Outcome lib = run_scenario(p, /*reference=*/false);
+  const Outcome ref = run_scenario(p, /*reference=*/true);
+  expect_identical(lib, ref);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ScheduleMatchesFiberLoops,

@@ -1,9 +1,7 @@
-// The determinism matrix (ISSUE 8, extended by ISSUE 10): figure-shaped
-// sweeps and fuzz scenarios must produce byte-identical simulated
-// results at every combination of host threads (--threads), engine
-// shards (--sim-shards) and scheduler mode (sequenced replay vs
-// conservative lookahead, --lookahead) — including the audit counter
-// trail and the degradation-ladder counters under fault injection.
+// The determinism matrix: figure-shaped sweeps and fuzz scenarios must
+// produce byte-identical simulated results at every host thread count
+// (--threads) — including the audit counter trail and the
+// degradation-ladder counters under fault injection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,32 +66,6 @@ void expect_matrix_identical(const bench::RunOptions& base,
     bench::check_sweep_equal(
         golden, bench::run_memory_sweep(threads, mini_sweep(), base, plan));
   }
-  // Engine-shard axis: each simulation itself runs sharded.
-  for (const int shards : {2, 8}) {
-    SCOPED_TRACE("sim_shards=" + std::to_string(shards));
-    bench::RunOptions sharded = base;
-    sharded.sim_shards = shards;
-    bench::check_sweep_equal(
-        golden, bench::run_memory_sweep(1, mini_sweep(), sharded, plan));
-  }
-  // Lookahead-scheduler axis: shard workers run concurrently inside the
-  // topology-derived lookahead window instead of replaying the global
-  // order one event at a time. shards=1 exercises the sequenced
-  // fallback (lookahead needs >= 2 shards to engage).
-  for (const int shards : {1, 2, 8}) {
-    SCOPED_TRACE("lookahead sim_shards=" + std::to_string(shards));
-    bench::RunOptions la = base;
-    la.sim_shards = shards;
-    la.sim_lookahead = true;
-    bench::check_sweep_equal(
-        golden, bench::run_memory_sweep(1, mini_sweep(), la, plan));
-  }
-  // All three axes at once.
-  bench::RunOptions all = base;
-  all.sim_shards = 2;
-  all.sim_lookahead = true;
-  bench::check_sweep_equal(
-      golden, bench::run_memory_sweep(2, mini_sweep(), all, plan));
 }
 
 TEST(DeterminismMatrix, Fig7ShapedIorSweep) {
@@ -112,9 +84,8 @@ TEST(DeterminismMatrix, Fig6ShapedCollPerfSweep) {
 
 TEST(DeterminismMatrix, FaultLadderSweep) {
   // Degradation-ladder paths (denial/retry/revocation/shrink/spill) must
-  // replay identically under lookahead: every ladder decision routes
-  // through globally-serialized slices, and check_sweep_equal now pins
-  // the full degradation counter set.
+  // replay identically: check_sweep_equal pins the full degradation
+  // counter set.
   bench::RunOptions base = small_testbed();
   base.faults.denial_rate = 0.2;
   base.faults.revoke_rate = 0.1;
@@ -125,7 +96,7 @@ TEST(DeterminismMatrix, FaultLadderSweep) {
 
 TEST(DeterminismMatrix, BorrowAndHierarchyFaultSweep) {
   // Far-memory borrow migration crossed with node-leader hierarchy and
-  // node exhaustion — the rungs most sensitive to cross-shard ordering.
+  // node exhaustion.
   bench::RunOptions base = small_testbed();
   base.hints.cb_node_leaders = true;
   base.hints.borrow_far_memory = true;
@@ -135,36 +106,36 @@ TEST(DeterminismMatrix, BorrowAndHierarchyFaultSweep) {
   expect_matrix_identical(base, ior_factory());
 }
 
-TEST(DeterminismMatrix, FuzzOracleIdenticalAcrossShards) {
+TEST(DeterminismMatrix, FuzzOracleIdenticalAcrossHostThreads) {
+  // The fuzz --threads pool: cases run concurrently, each through its
+  // own private auditor, and must match a serial run of the same cases.
   const fuzz::ScenarioGen gen(2026);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    const fuzz::Scenario s = gen.generate(i);
-    const fuzz::DiffResult base = fuzz::run_differential(s);
-    for (const int shards : {2, 8}) {
-      for (const bool lookahead : {false, true}) {
-        fuzz::OracleOptions opt;
-        opt.sim_shards = shards;
-        opt.lookahead = lookahead;
-        const fuzz::DiffResult r = fuzz::run_differential(s, opt);
-        EXPECT_EQ(r.classify(), base.classify())
-            << "case " << i << " shards " << shards << " lookahead "
-            << lookahead;
-        for (int d = 0; d < 3; ++d) {
-          SCOPED_TRACE("case " + std::to_string(i) + " driver " +
-                       std::to_string(d) + " shards " +
-                       std::to_string(shards) +
-                       (lookahead ? " lookahead" : " sequenced"));
-          EXPECT_EQ(r.runs[d].completed, base.runs[d].completed);
-          EXPECT_EQ(r.runs[d].file_hash, base.runs[d].file_hash);
-          EXPECT_EQ(r.runs[d].read_hash, base.runs[d].read_hash);
-          EXPECT_EQ(r.runs[d].pattern_ok, base.runs[d].pattern_ok);
-          EXPECT_EQ(r.runs[d].findings.size(),
-                    base.runs[d].findings.size());
-          // The audit trail — every delivered message, wait, lease and
-          // PFS access — must match event-for-event, not just the bytes.
-          EXPECT_TRUE(r.runs[d].counters == base.runs[d].counters);
-        }
-      }
+  constexpr int kCases = 6;
+  std::vector<fuzz::DiffResult> serial;
+  for (int i = 0; i < kCases; ++i) {
+    serial.push_back(
+        fuzz::run_differential(gen.generate(static_cast<std::uint64_t>(i))));
+  }
+  std::vector<fuzz::DiffResult> pooled(kCases);
+  bench::parallel_for(4, kCases, [&](int i) {
+    pooled[static_cast<std::size_t>(i)] =
+        fuzz::run_differential(gen.generate(static_cast<std::uint64_t>(i)));
+  });
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const fuzz::DiffResult& base = serial[i];
+    const fuzz::DiffResult& r = pooled[i];
+    EXPECT_EQ(r.classify(), base.classify()) << "case " << i;
+    for (int d = 0; d < 3; ++d) {
+      SCOPED_TRACE("case " + std::to_string(i) + " driver " +
+                   std::to_string(d));
+      EXPECT_EQ(r.runs[d].completed, base.runs[d].completed);
+      EXPECT_EQ(r.runs[d].file_hash, base.runs[d].file_hash);
+      EXPECT_EQ(r.runs[d].read_hash, base.runs[d].read_hash);
+      EXPECT_EQ(r.runs[d].pattern_ok, base.runs[d].pattern_ok);
+      EXPECT_EQ(r.runs[d].findings.size(), base.runs[d].findings.size());
+      // The audit trail — every delivered message, wait, lease and PFS
+      // access — must match event-for-event, not just the bytes.
+      EXPECT_TRUE(r.runs[d].counters == base.runs[d].counters);
     }
   }
 }

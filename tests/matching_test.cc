@@ -375,63 +375,47 @@ void run_in_flight_bursts(Rank& rank) {
   }
 }
 
-// Runs the bursts on the classic loop and with one slab per node shard,
-// sequenced and under lookahead.
 TEST(Matching, ManyInFlightDeliveriesArriveOutOfOrder) {
-  for (const auto& [shards, lookahead] :
-       {std::pair{1, false}, std::pair{2, false}, std::pair{2, true}}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "shards=" << shards << " lookahead=" << lookahead);
-    Machine machine(small_cluster(2, 2));
-    machine.set_sim_shards(shards);
-    machine.set_sim_lookahead(lookahead);
-    machine.run(4, run_in_flight_bursts);
-  }
+  Machine machine(small_cluster(2, 2));
+  machine.run(4, run_in_flight_bursts);
 }
 
 // A run that aborts with deliveries still in flight must leave the
-// machine reusable: the next run starts from empty slabs and endpoints.
+// machine reusable: the next run starts from an empty slab and endpoints.
 // The abort comes from the first delivery (it overflows the posted
 // receive), after every rank body has returned, so 49 envelopes are
 // still stashed when run() throws.
 TEST(Matching, RunAbortedMidFlightThenRunsCleanly) {
-  for (const auto& [shards, lookahead] :
-       {std::pair{1, false}, std::pair{2, false}, std::pair{2, true}}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "shards=" << shards << " lookahead=" << lookahead);
-    Machine machine(small_cluster(2, 2));
-    machine.set_sim_shards(shards);
-    machine.set_sim_lookahead(lookahead);
-    EXPECT_THROW(machine.run(4,
-                             [](Rank& rank) {
-                               Comm& world = rank.world();
-                               if (rank.rank() == 0) {
-                                 for (int i = 0; i < 50; ++i) {
-                                   send_i32(world, 3, 9, i);
-                                 }
-                               } else if (rank.rank() == 3) {
-                                 std::int16_t small = 0;
-                                 world.irecv(0, 9,
-                                             util::Payload::real(
-                                                 reinterpret_cast<std::byte*>(
-                                                     &small),
-                                                 sizeof(small)));
+  Machine machine(small_cluster(2, 2));
+  EXPECT_THROW(machine.run(4,
+                           [](Rank& rank) {
+                             Comm& world = rank.world();
+                             if (rank.rank() == 0) {
+                               for (int i = 0; i < 50; ++i) {
+                                 send_i32(world, 3, 9, i);
                                }
-                             }),
-                 util::Error);
-    std::vector<std::int32_t> got;
-    machine.run(4, [&got](Rank& rank) {
-      Comm& world = rank.world();
-      if (rank.rank() == 0) {
-        for (int i = 0; i < 50; ++i) send_i32(world, 3, 9, 100 + i);
-      } else if (rank.rank() == 3) {
-        for (int i = 0; i < 50; ++i) got.push_back(recv_i32(world, 0, 9));
-      }
-    });
-    std::vector<std::int32_t> want;
-    for (int i = 0; i < 50; ++i) want.push_back(100 + i);
-    EXPECT_EQ(got, want);
-  }
+                             } else if (rank.rank() == 3) {
+                               std::int16_t small = 0;
+                               world.irecv(0, 9,
+                                           util::Payload::real(
+                                               reinterpret_cast<std::byte*>(
+                                                   &small),
+                                               sizeof(small)));
+                             }
+                           }),
+               util::Error);
+  std::vector<std::int32_t> got;
+  machine.run(4, [&got](Rank& rank) {
+    Comm& world = rank.world();
+    if (rank.rank() == 0) {
+      for (int i = 0; i < 50; ++i) send_i32(world, 3, 9, 100 + i);
+    } else if (rank.rank() == 3) {
+      for (int i = 0; i < 50; ++i) got.push_back(recv_i32(world, 0, 9));
+    }
+  });
+  std::vector<std::int32_t> want;
+  for (int i = 0; i < 50; ++i) want.push_back(100 + i);
+  EXPECT_EQ(got, want);
 }
 
 TEST(Matching, FigureShapedRunIsDeterministic) {

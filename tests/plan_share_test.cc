@@ -3,8 +3,7 @@
 // metadata copy, and every rank must hold the same plan object. Covers
 // both drivers, flat and node-leader paths, idle ranks, uneven rank
 // counts and fault plans whose exhausted groups either fall back to
-// independent I/O or are rescued by the borrow rung (a live-memory read),
-// under the classic loop and the sharded lookahead scheduler.
+// independent I/O or are rescued by the borrow rung (a live-memory read).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -33,7 +32,6 @@ struct Case {
   bool idle_ranks = false;  ///< every third rank plans nothing
   bool exhaust = false;     ///< node 0 exhausted, others healthy
   bool borrow = false;
-  bool lookahead = false;
 };
 
 /// A fault seed under which node 0 is exhausted and every other node is
@@ -61,10 +59,6 @@ Outcome run_case(const Case& c) {
   cluster.num_nodes = kNodes;
   cluster.ranks_per_node = kRanksPerNode;
   mpi::Machine machine(cluster);
-  if (c.lookahead) {
-    machine.set_sim_shards(4);
-    machine.set_sim_lookahead(true);
-  }
   pfs::PfsConfig pfs_config;
   pfs_config.stripe_unit = 64ull << 10;
   pfs::Pfs fs(machine.cluster(), pfs_config);
@@ -128,9 +122,7 @@ void expect_clean(const Outcome& out) {
   }
 }
 
-class PlanShare : public ::testing::TestWithParam<bool> {};  // lookahead
-
-TEST_P(PlanShare, BothDriversFlatAndHierarchical) {
+TEST(PlanShare, BothDriversFlatAndHierarchical) {
   for (const bool use_mccio : {true, false}) {
     for (const bool hier : {false, true}) {
       SCOPED_TRACE(std::string(use_mccio ? "mccio" : "two-phase") +
@@ -138,7 +130,6 @@ TEST_P(PlanShare, BothDriversFlatAndHierarchical) {
       Case c;
       c.mccio = use_mccio;
       c.hier = hier;
-      c.lookahead = GetParam();
       const Outcome out = run_case(c);
       expect_clean(out);
       EXPECT_FALSE(out.plan.domains.empty());
@@ -147,7 +138,7 @@ TEST_P(PlanShare, BothDriversFlatAndHierarchical) {
   }
 }
 
-TEST_P(PlanShare, IdleRanksAndUnevenRankCounts) {
+TEST(PlanShare, IdleRanksAndUnevenRankCounts) {
   for (const bool use_mccio : {true, false}) {
     for (const int nranks : {16, 13, 7}) {
       SCOPED_TRACE(std::string(use_mccio ? "mccio " : "two-phase ") +
@@ -157,7 +148,6 @@ TEST_P(PlanShare, IdleRanksAndUnevenRankCounts) {
       c.hier = true;
       c.nranks = nranks;
       c.idle_ranks = true;
-      c.lookahead = GetParam();
       const Outcome out = run_case(c);
       expect_clean(out);
       // Idle ranks stay out of the node-leader groups.
@@ -166,12 +156,11 @@ TEST_P(PlanShare, IdleRanksAndUnevenRankCounts) {
   }
 }
 
-TEST_P(PlanShare, ExhaustedGroupFallsBackWithoutBorrow) {
+TEST(PlanShare, ExhaustedGroupFallsBackWithoutBorrow) {
   for (const bool hier : {false, true}) {
     Case c;
     c.hier = hier;
     c.exhaust = true;
-    c.lookahead = GetParam();
     const Outcome out = run_case(c);
     expect_clean(out);
     // Node 0's group is dead: its ranks degrade to independent I/O.
@@ -180,13 +169,12 @@ TEST_P(PlanShare, ExhaustedGroupFallsBackWithoutBorrow) {
   }
 }
 
-TEST_P(PlanShare, ExhaustedGroupRescuedByBorrow) {
+TEST(PlanShare, ExhaustedGroupRescuedByBorrow) {
   for (const bool hier : {false, true}) {
     Case c;
     c.hier = hier;
     c.exhaust = true;
     c.borrow = true;
-    c.lookahead = GetParam();
     const Outcome out = run_case(c);
     expect_clean(out);
     // The donor election (live memory) rescued node 0's group.
@@ -195,12 +183,6 @@ TEST_P(PlanShare, ExhaustedGroupRescuedByBorrow) {
     EXPECT_EQ(out.plan.exhausted_nodes, 1u);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Schedulers, PlanShare, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& p) {
-                           return p.param ? std::string("ShardedLookahead")
-                                          : std::string("Classic");
-                         });
 
 }  // namespace
 }  // namespace mcio

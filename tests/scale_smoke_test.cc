@@ -1,7 +1,7 @@
-// 16k-rank scale smoke (ISSUE 10): one collective write at extreme rank
-// count through the sharded lookahead engine, budgeted on host wall
-// clock so event-queue or fiber regressions that only show at scale
-// fail tier-1 instead of only the nightly perf sweeps.
+// 16k-rank scale smoke: one collective write at extreme rank count,
+// budgeted on host wall clock so event-queue or fiber regressions that
+// only show at scale fail tier-1 instead of only the nightly perf
+// sweeps.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -24,7 +24,7 @@ namespace {
 #define MCIO_TEST_UNDER_SANITIZER 1
 #endif
 
-TEST(ScaleSmoke, SixteenKRanksUnderLookahead) {
+TEST(ScaleSmoke, SixteenKRanks) {
   // 2048 nodes x 8 ranks, one interleaved 16 KiB transfer per rank.
   // The interesting scale axis is rank/fiber/event count, not bytes:
   // memory levels are small so aggregators negotiate under pressure,
@@ -41,8 +41,6 @@ TEST(ScaleSmoke, SixteenKRanksUnderLookahead) {
   w.interleaved = true;
 
   mpi::Machine machine(tb.cluster());
-  machine.set_sim_shards(8);
-  machine.set_sim_lookahead(true);
   pfs::Pfs fs(machine.cluster(), tb.pfs());
   node::MemoryManager memory =
       node::MemoryManager::uniform(tb.cluster(), 1ull << 20);
@@ -83,10 +81,9 @@ TEST(ScaleSmoke, SixteenKRanksUnderLookahead) {
   EXPECT_EQ(stats.io_bytes(), 16384ull * (16ull << 10));
 
   // Wall-clock budget: generous enough for slow shared CI hosts, tight
-  // enough that an accidental O(ranks^2) scheduler or mailbox path
-  // blows through it.
-  // ~90 s on a single shared core with all 8 shard workers contending;
-  // an O(ranks^2) path regresses that to tens of minutes.
+  // enough that an accidental O(ranks^2) scheduler or transport path
+  // blows through it. A few seconds on one core; an O(ranks^2) path
+  // regresses that to tens of minutes.
 #if defined(MCIO_TEST_UNDER_SANITIZER)
   constexpr double kBudgetSeconds = 900.0;
 #else

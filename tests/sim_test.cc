@@ -1,5 +1,6 @@
-// Simulation kernel: virtual-time scheduling order, park/unpark,
-// determinism, deadlock detection and bandwidth-queue behaviour.
+// Simulation kernel: virtual-time scheduling order, park/unpark and the
+// wakeup token, determinism, deadlock detection, the fiber guard page and
+// bandwidth-queue behaviour.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -136,13 +137,11 @@ struct BoundaryRun {
   std::vector<SimTime> finish;
 };
 
-/// Three actors exercising every yield shape. The classic loop elides
-/// the syncs whose slice would pop straight back; the sharded sequenced
-/// loop never elides. Both must report the same slice boundaries.
-BoundaryRun run_boundary_scenario(int threads) {
-  Engine::Options opt;
-  opt.threads = threads;
-  Engine engine(opt);
+/// Three actors exercising every yield shape. The engine elides the syncs
+/// whose slice would pop straight back, yet must report every slice
+/// boundary.
+BoundaryRun run_boundary_scenario() {
+  Engine engine;
   SliceRecorder rec;
   engine.set_observer(&rec);
   BoundaryRun out;
@@ -199,15 +198,56 @@ TEST(Engine, YieldElisionKeepsSliceBoundaries) {
       {'R', 1, 5.0}, {'Y', 1, 5.5},  // lone: elided sync_local
       {'R', 1, 5.5}, {'Y', 1, 5.5},  // finishes
   };
-  const BoundaryRun classic = run_boundary_scenario(1);
-  EXPECT_EQ(classic.log, expected);
-  EXPECT_EQ(classic.tokens, (std::vector<std::uint32_t>{1, 2, 3, 4}));
-  EXPECT_EQ(classic.finish, (std::vector<SimTime>{3.0, 5.5, 1.0}));
+  const BoundaryRun run = run_boundary_scenario();
+  EXPECT_EQ(run.log, expected);
+  EXPECT_EQ(run.tokens, (std::vector<std::uint32_t>{1, 2, 3, 4}));
+  EXPECT_EQ(run.finish, (std::vector<SimTime>{3.0, 5.5, 1.0}));
+}
 
-  const BoundaryRun sharded = run_boundary_scenario(2);
-  EXPECT_EQ(sharded.log, classic.log);
-  EXPECT_EQ(sharded.tokens, classic.tokens);
-  EXPECT_EQ(sharded.finish, classic.finish);
+TEST(Engine, UnparkBeforeParkConsumesToken) {
+  Engine engine;
+  bool woke = false;
+  int sleeper = -1;
+  sleeper = engine.spawn([&](Actor& a) {
+    a.advance(1.0);
+    a.sync();
+    // The unpark below already happened (at virtual time 0): park must
+    // consume its token and return without blocking.
+    a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
+    woke = true;
+    EXPECT_DOUBLE_EQ(a.now(), 1.0);  // token time 0.5 never rewinds
+    // A second park has no token: it must genuinely block for the
+    // late unparker.
+    a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
+    EXPECT_DOUBLE_EQ(a.now(), 2.0);
+  });
+  engine.spawn([&, sleeper](Actor& a) {
+    EXPECT_FALSE(a.engine().is_parked(sleeper));
+    a.engine().unpark(sleeper, 0.5);  // unpark-before-park
+  });
+  engine.spawn([&, sleeper](Actor& a) {
+    a.advance(2.0);
+    a.sync();
+    EXPECT_TRUE(a.engine().is_parked(sleeper));
+    a.engine().unpark(sleeper, a.now());
+  });
+  engine.run();
+  EXPECT_TRUE(woke);
+}
+
+TEST(Engine, TokenDoesNotLeakAcrossParks) {
+  // A token is one wakeup: an actor that parks twice after a single
+  // early unpark must deadlock on the second park.
+  Engine engine;
+  const int sleeper = engine.spawn([](Actor& a) {
+    a.sync();
+    a.park();  // mcio-analyze: allow(unobserved-park) -- consumes the token
+    a.park();  // mcio-analyze: allow(unobserved-park) -- deliberate deadlock
+  });
+  engine.spawn([sleeper](Actor& a) {
+    a.engine().unpark(sleeper, 0.0);
+  });
+  EXPECT_THROW(engine.run(), util::Error);
 }
 
 TEST(BandwidthQueue, ServeAndQueueing) {
@@ -271,6 +311,43 @@ TEST(Cluster, DistinctResourcesPerNode) {
   EXPECT_DOUBLE_EQ(cluster.nic_out(1).next_free(), 0.0);
   EXPECT_DOUBLE_EQ(cluster.membus(0).next_free(), 0.0);
 }
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MCIO_TEST_UNDER_SANITIZER 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MCIO_TEST_UNDER_SANITIZER 1
+#endif
+
+#if !defined(MCIO_TEST_UNDER_SANITIZER)
+
+/// Touches stack pages downward past the fiber's usable bytes.
+void overflow_stack(volatile char* p, int depth) {
+  volatile char frame[4096];
+  frame[0] = static_cast<char>(depth);
+  if (depth > 0) overflow_stack(frame, depth - 1);
+  *p = frame[0];
+}
+
+TEST(FiberGuardPageDeathTest, OverflowHitsGuardNotHeap) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Engine::Options opt;
+        opt.stack_bytes = 16 * 1024;  // the minimum FiberStack allows
+        Engine engine(opt);
+        engine.spawn([](Actor&) {
+          volatile char c = 0;
+          overflow_stack(&c, 64);  // 64 * 4 KiB frames >> 16 KiB stack
+        });
+        engine.run();
+      },
+      "");
+}
+
+#endif  // sanitizers
 
 }  // namespace
 }  // namespace mcio::sim

@@ -48,12 +48,6 @@ struct MiniClusterOptions {
   std::uint64_t node_memory_mean = 1 << 20;
   double memory_stdev = 0.0;
   std::uint64_t memory_seed = 7;
-  /// Topology latency overrides; negative keeps the ClusterConfig
-  /// default. Zero models the degenerate zero-latency fabric that must
-  /// force the lookahead scheduler's sequenced fallback
-  /// (tests/lookahead_test.cc).
-  double nic_latency = -1.0;
-  double fabric_mem_latency = -1.0;
 };
 
 /// A self-contained simulated test cluster.
@@ -64,10 +58,6 @@ class MiniCluster {
     sim::ClusterConfig c;
     c.num_nodes = options.num_nodes;
     c.ranks_per_node = options.ranks_per_node;
-    if (options.nic_latency >= 0.0) c.nic_latency = options.nic_latency;
-    if (options.fabric_mem_latency >= 0.0) {
-      c.fabric_mem_latency = options.fabric_mem_latency;
-    }
     machine_ = std::make_unique<mpi::Machine>(c);
     pfs::PfsConfig p;
     p.num_osts = options.num_osts;

@@ -2,7 +2,7 @@
 // determinism and lock-discipline invariants (DESIGN.md §13).
 //
 // The simulator's core promise — byte-identical output at every
-// thread × shard count — can be broken by one host-clock read, one
+// host thread count — can be broken by one host-clock read, one
 // unordered-container iteration feeding a hash, or one pointer-keyed
 // map whose order ASLR decides. Those hazards are all visible in the
 // source text; this analyzer finds them at review time, before a run
