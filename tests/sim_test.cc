@@ -3,7 +3,10 @@
 // bandwidth-queue behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/engine.h"
@@ -248,6 +251,154 @@ TEST(Engine, TokenDoesNotLeakAcrossParks) {
     a.engine().unpark(sleeper, 0.0);
   });
   EXPECT_THROW(engine.run(), util::Error);
+}
+
+TEST(Engine, EqualTimeOrderIsDeliveryThenLocalThenGlobal) {
+  // Three kinds of event at t = 1. The kind decides before the actor id:
+  // actor 1's local slice resumes ahead of actor 0's global one.
+  Engine engine;
+  std::vector<std::string> log;
+  engine.set_timed_handler([&log](int, std::uint32_t token) {
+    log.push_back("delivery " + std::to_string(token));
+  });
+  engine.spawn([&log](Actor& a) {
+    a.advance(1.0);
+    a.sync();
+    log.push_back("global 0");
+  });
+  engine.spawn([&log](Actor& a) {
+    a.advance(1.0);
+    a.sync_local();
+    log.push_back("local 1");
+  });
+  engine.spawn([&engine, &log](Actor& a) {
+    engine.post_at(0, 1.0, 7);
+    a.advance(1.0);
+    a.sync();
+    log.push_back("global 2");
+  });
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"delivery 7", "local 1",
+                                           "global 0", "global 2"}));
+}
+
+TEST(Engine, SameTimeDeliveriesPopBySourceThenSeq) {
+  // Actor 1 posts first in pop order, yet at equal arrival time actor 0's
+  // deliveries apply first; each source's keep their posting order.
+  Engine engine;
+  std::vector<std::uint32_t> tokens;
+  engine.set_timed_handler([&tokens](int, std::uint32_t token) {
+    tokens.push_back(token);
+  });
+  engine.spawn([&engine](Actor& a) {
+    a.advance(0.5);
+    a.sync();
+    engine.post_at(1, 2.0, 20);
+    engine.post_at(1, 2.0, 21);
+  });
+  engine.spawn([&engine](Actor&) {
+    engine.post_at(0, 2.0, 10);
+    engine.post_at(0, 2.0, 11);
+    engine.post_at(0, 1.5, 12);  // earlier arrival: first despite seq
+  });
+  engine.run();
+  EXPECT_EQ(tokens, (std::vector<std::uint32_t>{12, 20, 21, 10, 11}));
+}
+
+TEST(Engine, UnparkNeverRewindsBelowTheExecutingEvent) {
+  Engine engine;
+  std::vector<int> order;
+  const int sleeper = engine.spawn([&order](Actor& a) {
+    a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
+    order.push_back(0);
+    // The wake time 0.5 lies behind the unparking slice (t = 2), and the
+    // unparker's own clock (2.25) is ahead of it: the slice time wins.
+    EXPECT_DOUBLE_EQ(a.now(), 2.0);
+  });
+  engine.spawn([sleeper](Actor& a) {
+    a.advance(2.0);
+    a.sync();
+    a.advance(0.25);
+    ASSERT_TRUE(a.engine().is_parked(sleeper));
+    a.engine().unpark(sleeper, 0.5);
+  });
+  engine.spawn([&order](Actor& a) {
+    a.advance(2.0);
+    a.sync();
+    // The wakeup is a local slice: it resumes ahead of this global one.
+    order.push_back(2);
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 2}));
+  EXPECT_DOUBLE_EQ(engine.finish_times()[static_cast<std::size_t>(sleeper)],
+                   2.0);
+}
+
+TEST(Engine, UnparkOfFinishedActorThrows) {
+  Engine engine;
+  const int done = engine.spawn([](Actor&) {});
+  engine.spawn([done](Actor& a) {
+    a.advance(1.0);
+    a.sync();
+    a.engine().unpark(done, a.now());
+  });
+  EXPECT_THROW(engine.run(), util::Error);
+}
+
+/// Every actor posts a timed event to every other actor on each of its
+/// slices, at staggered latencies.
+struct FloodResult {
+  /// (arrival, source, slice, target) in the order the handler ran.
+  std::vector<std::tuple<SimTime, int, int, int>> log;
+  std::uint64_t posted = 0;
+};
+
+FloodResult run_flood() {
+  constexpr int kActors = 12;
+  constexpr int kSlices = 10;
+  Engine engine;
+  FloodResult out;
+  // Token -> (arrival, source, slice, target), filled when posted.
+  std::vector<std::tuple<SimTime, int, int, int>> posts;
+  engine.set_timed_handler([&out, &posts](int, std::uint32_t token) {
+    out.log.push_back(posts[token]);
+  });
+  for (int i = 0; i < kActors; ++i) {
+    engine.spawn([i, &engine, &out, &posts](Actor& a) {
+      for (int k = 0; k < kSlices; ++k) {
+        a.advance(0.001 * ((i + k) % 4 + 1));
+        a.sync();
+        for (int target = 0; target < kActors; ++target) {
+          if (target == i) continue;
+          // Strictly after the slice, so every push keys above the
+          // executing event and the pop order is the key order.
+          const SimTime arrival = a.now() + 0.0005 * ((i + target) % 3 + 1);
+          posts.emplace_back(arrival, i, k, target);
+          engine.post_at(target, arrival,
+                         static_cast<std::uint32_t>(posts.size() - 1));
+          ++out.posted;
+        }
+      }
+    });
+  }
+  engine.run();
+  return out;
+}
+
+TEST(Engine, PostFloodCompleteOrderedAndDeterministic) {
+  const FloodResult first = run_flood();
+  EXPECT_EQ(first.posted, 12u * 11u * 10u);
+  // Nothing is dropped under load.
+  EXPECT_EQ(first.log.size(), first.posted);
+  // Deliveries apply in (arrival, source, seq) order; a source's seq
+  // follows its slices and, within one, its posting order (by target).
+  EXPECT_TRUE(std::adjacent_find(first.log.begin(), first.log.end(),
+                                 [](const auto& x, const auto& y) {
+                                   return !(x < y);
+                                 }) == first.log.end());
+  const FloodResult second = run_flood();
+  EXPECT_EQ(second.posted, first.posted);
+  EXPECT_EQ(second.log, first.log);
 }
 
 TEST(BandwidthQueue, ServeAndQueueing) {

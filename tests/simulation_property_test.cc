@@ -3,6 +3,8 @@
 // workload × driver × memory configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "testing.h"
 #include "workloads/collperf.h"
 #include "workloads/ior.h"
@@ -85,6 +87,15 @@ struct SweepParam {
   std::uint64_t mem;
   double stdev;
 };
+
+// Names each instance by its fields. Without it gtest prints the raw
+// bytes, padding included, and the ctest names change between builds.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  static const char* const kWorkloads[] = {"strided", "ior-interleaved",
+                                           "ior-segmented", "collperf"};
+  *os << kWorkloads[p.workload] << (p.mccio ? " mccio" : " two-phase")
+      << " mem=" << (p.mem >> 10) << "KiB stdev=" << p.stdev;
+}
 
 class RoundTripSweep : public ::testing::TestWithParam<SweepParam> {};
 
