@@ -5,6 +5,7 @@
 #include "micro_main.h"
 #include "mpi/datatype.h"
 #include "util/extent.h"
+#include "workloads/collperf.h"
 
 namespace {
 
@@ -52,6 +53,38 @@ void BM_ExtentListClip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtentListClip)->Arg(1024)->Arg(16384);
+
+// The union of the plans a write epoch's close builds, at collperf_120's
+// shape: 120 ranks' 512^3 subarray views of 8 B
+// elements, about 8.7k sorted 1 KiB runs each, interleaved across the
+// whole file.
+void BM_EpochCloseUnion(benchmark::State& state) {
+  const int ranks = static_cast<int>(state.range(0));
+  mcio::workloads::CollPerfConfig cfg;
+  cfg.dims = {512, 512, 512};
+  cfg.elem_size = 8;
+  std::vector<ExtentList> plans;
+  std::size_t extents = 0;
+  for (int r = 0; r < ranks; ++r) {
+    plans.push_back(ExtentList::normalize(
+        mcio::workloads::collperf_filetype(r, ranks, cfg).flatten(0, 1)));
+    extents += plans.back().size();
+  }
+  std::vector<const ExtentList*> ptrs;
+  for (const ExtentList& p : plans) ptrs.push_back(&p);
+  ExtentList planned;
+  for (auto _ : state) {
+    planned.assign_union(ptrs);
+    benchmark::DoNotOptimize(planned.size());
+  }
+  state.counters["extents"] = static_cast<double>(extents);
+  // Seconds per input extent; the console prints it as e.g. "13ns".
+  state.counters["time_per_extent"] = benchmark::Counter(
+      static_cast<double>(extents),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EpochCloseUnion)->Arg(120)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

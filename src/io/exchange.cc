@@ -282,28 +282,43 @@ static bool next_window(const Extent& fd, std::uint64_t win, Extent* w) {
   return true;
 }
 
+// The wire form of a normalized extent list: its runs' raw bytes.
+static std::span<const std::byte> list_blob(const ExtentList& list) {
+  const auto& runs = list.runs();
+  return {reinterpret_cast<const std::byte*>(runs.data()),
+          runs.size() * sizeof(Extent)};
+}
+
+// The inverse of list_blob(): one copy out of the wire buffer and one
+// validating pass (ExtentList::adopt) — senders ship normalized lists, so
+// nothing is re-normalized here.
+static ExtentList list_from_blob(std::span<const std::byte> bytes) {
+  MCIO_CHECK_EQ(bytes.size() % sizeof(Extent), 0u);
+  std::vector<Extent> runs(bytes.size() / sizeof(Extent));
+  if (!runs.empty()) std::memcpy(runs.data(), bytes.data(), bytes.size());
+  return ExtentList::adopt(std::move(runs));
+}
+
 void TwoPhaseExchange::exchange_extent_lists() {
-  {
-    // Scoped: the normalized plan is dropped before the receive phase.
-    const ExtentList local = ExtentList::normalize(plan_.extents);
-    send_extent_lists(local);
-    leader_collect_extent_lists(local);
+  if (is_leader_) {
+    leader_collect_extent_lists();
+  } else {
+    send_extent_lists();
   }
   recv_extent_lists();
 }
 
-void TwoPhaseExchange::send_extent_lists(const ExtentList& local) {
+void TwoPhaseExchange::send_extent_lists() {
+  // Client domains ascend, so one monotone cursor clips and coalesces the
+  // validated plan per domain: no normalized copy of the whole plan.
+  util::PlanCursor cursor(plan_.extents);
+  ExtentList part;
   for (const int di : client_domains_) {
     const FileDomain& d = xplan_.domains[static_cast<std::size_t>(di)];
-    const ExtentList part = local.clipped(d.extent);
-    const auto& runs = part.runs();
-    const std::span<const std::byte> blob(
-        reinterpret_cast<const std::byte*>(runs.data()),
-        runs.size() * sizeof(Extent));
+    cursor.clipped_into(d.extent, &part);
+    const std::span<const std::byte> blob = list_blob(part);
     if (hier_) {
-      // Members fold their lists into the leader over shm; the leader's
-      // own list is folded locally in leader_collect_extent_lists().
-      if (is_leader_) continue;
+      // Members fold their lists into the leader over shm.
       ctx_.comm->send_blob_shm(my_leader_, tag_hier_lists_, blob);
       count_msg(my_leader_, blob.size());
     } else {
@@ -313,8 +328,10 @@ void TwoPhaseExchange::send_extent_lists(const ExtentList& local) {
   }
 }
 
-void TwoPhaseExchange::leader_collect_extent_lists(const ExtentList& local) {
-  if (!is_leader_) return;
+void TwoPhaseExchange::leader_collect_extent_lists() {
+  // Node domains ascend, so the leader clips its own plan with one
+  // monotone cursor, as send_extent_lists() does.
+  util::PlanCursor own(plan_.extents);
   std::vector<const ExtentList*> lists;
   for (NodeDomain& nd : node_domains_) {
     const FileDomain& d =
@@ -329,15 +346,9 @@ void TwoPhaseExchange::leader_collect_extent_lists(const ExtentList& local) {
       }
       ExtentList list;
       if (m == my_rank()) {
-        list = local.clipped(d.extent);
+        own.clipped_into(d.extent, &list);
       } else {
-        const auto bytes = ctx_.comm->recv_blob(m, tag_hier_lists_);
-        MCIO_CHECK_EQ(bytes.size() % sizeof(Extent), 0u);
-        std::vector<Extent> runs(bytes.size() / sizeof(Extent));
-        if (!runs.empty()) {
-          std::memcpy(runs.data(), bytes.data(), bytes.size());
-        }
-        list = ExtentList::normalize(std::move(runs));
+        list = list_from_blob(ctx_.comm->recv_blob(m, tag_hier_lists_));
       }
       if (list.empty()) continue;
       nd.per_member.emplace_back(m, std::move(list));
@@ -347,10 +358,7 @@ void TwoPhaseExchange::leader_collect_extent_lists(const ExtentList& local) {
     nd.merged.assign_union(lists);
     // Forward the node's merged list (possibly empty — the aggregator
     // expects one blob per intersecting node).
-    const auto& runs = nd.merged.runs();
-    const std::span<const std::byte> blob(
-        reinterpret_cast<const std::byte*>(runs.data()),
-        runs.size() * sizeof(Extent));
+    const std::span<const std::byte> blob = list_blob(nd.merged);
     ctx_.comm->send_blob(d.aggregator, tag_lists_, blob);
     count_msg(d.aggregator, blob.size());
   }
@@ -411,12 +419,7 @@ void TwoPhaseExchange::recv_extent_lists() {
                    "missing extent list from rank " << e.source);
     mpi::FramedBlob b = std::move(blobs[order[head[s]++]]);
     ctx_.comm->charge_blob(b);
-    MCIO_CHECK_EQ(b.bytes.size() % sizeof(Extent), 0u);
-    std::vector<Extent> runs(b.bytes.size() / sizeof(Extent));
-    if (!runs.empty()) {
-      std::memcpy(runs.data(), b.bytes.data(), b.bytes.size());
-    }
-    ExtentList list = ExtentList::normalize(std::move(runs));
+    ExtentList list = list_from_blob(b.bytes);
     if (!list.empty()) {
       // Sources are visited in ascending order per domain, so appending
       // keeps per_source sorted.

@@ -189,10 +189,13 @@ class TwoPhaseExchange {
   };
 
   // Phase helpers.
-  /// Normalizes this rank's plan once, then runs the extent-list phase:
-  /// send, the leader's fold (hierarchical), receive.
+  /// The extent-list phase: send (or, for a node leader, the fold of its
+  /// members' lists), then receive. Each list is clipped from the plan or
+  /// adopted off the wire in one pass; none is re-normalized.
   void exchange_extent_lists();
-  void send_extent_lists(const util::ExtentList& local);
+  /// Flat client or node member: ships the plan's part in each client
+  /// domain to its aggregator (flat) or to its leader (hierarchical).
+  void send_extent_lists();
   void recv_extent_lists();
   void negotiate_buffers();
   void recv_window_sizes();
@@ -211,9 +214,9 @@ class TwoPhaseExchange {
   /// intersecting rank on the flat path, one leader per intersecting node
   /// on the hierarchical path. Appends to `out`.
   void direct_sources(const FileDomain& d, std::vector<int>* out) const;
-  /// Leader: drain member extent lists, merge per domain, forward the
-  /// merged lists to the aggregators.
-  void leader_collect_extent_lists(const util::ExtentList& local);
+  /// Leader: drain member extent lists, merge per domain with its own,
+  /// forward the merged lists to the aggregators.
+  void leader_collect_extent_lists();
   /// Degraded protocol: leaders take window sizes from aggregators and
   /// fan them out to their members; members take them from their leader.
   void recv_window_sizes_hier();

@@ -79,6 +79,18 @@ ExtentList ExtentList::normalize(std::vector<Extent> extents) {
   return out;
 }
 
+ExtentList ExtentList::adopt(std::vector<Extent> runs) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    MCIO_CHECK_MSG(!runs[i].empty(), "empty run " << i << " in extent list");
+    MCIO_CHECK_MSG(i == 0 || runs[i - 1].end() < runs[i].offset,
+                   "extent list unsorted, overlapping or touching at run "
+                       << i);
+  }
+  ExtentList out;
+  out.runs_ = std::move(runs);
+  return out;
+}
+
 void ExtentList::assign_union(std::span<const ExtentList* const> lists) {
   runs_.clear();
   ExtentMerge merge;
@@ -131,16 +143,37 @@ ExtentList ExtentList::clipped(const Extent& window) const {
 }
 
 void ExtentCursor::clipped_into(const Extent& window, ExtentList* out) {
-  out->clear();
-  while (idx_ < runs_->size() && (*runs_)[idx_].end() <= window.offset) {
-    ++idx_;
-  }
-  for (std::size_t j = idx_;
-       j < runs_->size() && (*runs_)[j].offset < window.end(); ++j) {
-    if (const auto x = intersect((*runs_)[j], window)) {
-      out->runs_.push_back(*x);
+  std::vector<Extent>& dst = out->runs_;
+  dst.clear();
+  if (window.empty()) return;
+  const std::vector<Extent>& runs = *runs_;
+  while (idx_ < runs.size() && runs[idx_].end() <= window.offset) ++idx_;
+  std::size_t end = idx_;
+  while (end < runs.size() && runs[end].offset < window.end()) ++end;
+  if (end == idx_) return;
+  // Copy the runs in bulk; only the first and the last can reach outside
+  // the window.
+  dst.assign(runs.begin() + static_cast<std::ptrdiff_t>(idx_),
+             runs.begin() + static_cast<std::ptrdiff_t>(end));
+  Extent& first = dst.front();
+  const std::uint64_t lo = std::max(first.offset, window.offset);
+  first = Extent{lo, first.end() - lo};
+  Extent& last = dst.back();
+  last.len = std::min(last.end(), window.end()) - last.offset;
+}
+
+void PlanCursor::clipped_into(const Extent& window, ExtentList* out) {
+  cursor_.clipped_into(window, out);
+  std::vector<Extent>& dst = out->runs_;
+  std::size_t n = std::min<std::size_t>(dst.size(), 1);
+  for (std::size_t j = 1; j < dst.size(); ++j) {
+    if (dst[n - 1].end() == dst[j].offset) {
+      dst[n - 1].len += dst[j].len;
+    } else {
+      dst[n++] = dst[j];
     }
   }
+  dst.resize(n);
 }
 
 ExtentList ExtentList::intersected(const ExtentList& other) const {

@@ -130,6 +130,12 @@ class ExtentList {
   /// place: O(N), no sort and no copy. R runs cost O(N log R).
   static ExtentList normalize(std::vector<Extent> extents);
 
+  /// Takes `runs` as the list after one validating pass: they must already
+  /// be normalized (non-empty, sorted, neither overlapping nor touching),
+  /// as every list put on the wire is. A violation is an MCIO_CHECK
+  /// failure, not a silent repair.
+  static ExtentList adopt(std::vector<Extent> runs);
+
   /// Replaces this list with the union of normalized `lists` in one k-way
   /// merge, O(N log R) for N runs across R lists, reusing this list's
   /// capacity. `this` must not be one of `lists`.
@@ -183,6 +189,7 @@ class ExtentList {
 
  private:
   friend class ExtentCursor;
+  friend class PlanCursor;
   std::vector<Extent> runs_;
 };
 
@@ -206,8 +213,26 @@ class ExtentCursor {
   void clipped_into(const Extent& window, ExtentList* out);
 
  private:
+  friend class PlanCursor;
+  /// Over sorted, disjoint, non-empty runs that may touch (PlanCursor).
+  explicit ExtentCursor(const std::vector<Extent>& runs) : runs_(&runs) {}
+
   const std::vector<Extent>* runs_;
   std::size_t idx_ = 0;
+};
+
+/// ExtentCursor over a validated plan's extents: sorted, disjoint and
+/// non-empty, but adjacent runs may touch. Each clip coalesces touching
+/// runs, so it equals ExtentList::normalize(plan).clipped(window) without
+/// building the normalized copy of the whole plan. Windows ascend.
+class PlanCursor {
+ public:
+  explicit PlanCursor(const std::vector<Extent>& plan) : cursor_(plan) {}
+
+  void clipped_into(const Extent& window, ExtentList* out);
+
+ private:
+  ExtentCursor cursor_;
 };
 
 std::ostream& operator<<(std::ostream& os, const ExtentList& l);

@@ -55,6 +55,30 @@ util::ExtentList normalize_with_overlaps(std::vector<util::Extent> raw,
   return out;
 }
 
+/// The union of normalized `lists`, in one k-way merge.
+util::ExtentList union_of(const std::vector<util::ExtentList>& lists) {
+  std::vector<const util::ExtentList*> ptrs;
+  ptrs.reserve(lists.size());
+  for (const util::ExtentList& l : lists) ptrs.push_back(&l);
+  util::ExtentList out;
+  out.assign_union(ptrs);
+  return out;
+}
+
+/// (∪ plans) − done, computed rank by rank: each plan is checked against
+/// `done` alone, and the per-rank leftovers are unioned only when more
+/// than one rank has some. A clean read epoch builds no union.
+util::ExtentList uncovered(const std::vector<util::ExtentList>& plans,
+                           const util::ExtentList& done) {
+  std::vector<util::ExtentList> left;
+  for (const util::ExtentList& plan : plans) {
+    util::ExtentList part = subtract(plan, done);
+    if (!part.empty()) left.push_back(std::move(part));
+  }
+  if (left.size() == 1) return std::move(left.front());
+  return union_of(left);
+}
+
 /// "N B in [a,b) [c,d) ..." — at most `max_runs` runs spelled out.
 std::string describe_extents(const util::ExtentList& list,
                              std::size_t max_runs = 4) {
@@ -375,11 +399,15 @@ void Auditor::on_collective_begin(const void* fs, int file, bool is_write,
     ep->is_write = is_write;
     ep->seq = ks.base_seq + ks.open.size();
     ep->participants = participants;
+    ep->plans.reserve(static_cast<std::size_t>(std::max(participants, 0)));
     ks.open.push_back(std::move(ep));
   }
   const std::shared_ptr<Epoch>& ep = ks.open[idx];
   ++ep->begun;
-  ep->planned.insert(ep->planned.end(), extents.begin(), extents.end());
+  // A validated plan is one sorted run: normalize copies it once and
+  // coalesces touching runs in place.
+  ep->plans.push_back(util::ExtentList::normalize(
+      std::vector<util::Extent>(extents.begin(), extents.end())));
   const auto r = static_cast<std::size_t>(rank);
   if (r >= stacks_.size()) stacks_.resize(r + 1);
   stacks_[r].push_back(ep);
@@ -448,8 +476,6 @@ void Auditor::close_epoch(Epoch& ep) {
     }
   }
 
-  const util::ExtentList planned =
-      util::ExtentList::normalize(std::move(ep.planned));
   if (ep.is_write) {
     std::vector<util::Extent> dup;
     const util::ExtentList written =
@@ -461,6 +487,9 @@ void Auditor::close_epoch(Epoch& ep) {
          << describe_extents(dups);
       add_finding("byte-duplicate", os.str());
     }
+    // A write epoch needs the plans' union for the unplanned-write check
+    // anyway, so byte-loss is taken from it too.
+    const util::ExtentList planned = union_of(ep.plans);
     const util::ExtentList missing = subtract(planned, written);
     if (!missing.empty()) {
       std::ostringstream os;
@@ -483,7 +512,7 @@ void Auditor::close_epoch(Epoch& ep) {
   } else {
     const util::ExtentList read =
         util::ExtentList::normalize(std::move(ep.preread));
-    const util::ExtentList missing = subtract(planned, read);
+    const util::ExtentList missing = uncovered(ep.plans, read);
     if (!missing.empty()) {
       std::ostringstream os;
       os << where.str() << ": planned bytes never read from the PFS: "

@@ -153,9 +153,12 @@ class Auditor final : public Observer {
     int participants = 0;
     int begun = 0;
     int ended = 0;
-    // Raw event accumulation — O(1) per event on the simulation's hot
+    /// One normalized, exact-size copy of each entering rank's plan, in
+    /// begin order. A read epoch's close checks loss rank by rank against
+    /// these; a write epoch's close unions them once.
+    std::vector<util::ExtentList> plans;
+    // Raw PFS event accumulation — O(1) per event on the simulation's hot
     // path; normalized and checked once, when the epoch closes.
-    std::vector<util::Extent> planned;  ///< all ranks' plan extents
     std::vector<util::Extent> written;  ///< PFS writes observed
     std::vector<util::Extent> preread;  ///< PFS reads (write RMW / read)
     /// Outstanding lease bytes and grant count per (manager id, node).

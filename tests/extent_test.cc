@@ -85,7 +85,7 @@ TEST(ExtentList, Hull) {
 }
 
 TEST(ExtentList, NormalizeSortedInputKeepsItsStorage) {
-  // Plans and wire blobs arrive sorted: they coalesce in place, no copy.
+  // Validated plans arrive sorted: they coalesce in place, no copy.
   std::vector<Extent> v = {{0, 4}, {4, 4}, {10, 2}, {10, 3}, {20, 0}};
   const Extent* storage = v.data();
   const auto list = ExtentList::normalize(std::move(v));
@@ -113,6 +113,22 @@ TEST(ExtentList, AssignUnionOfNoneOneAndMany) {
   EXPECT_EQ(u.runs()[2], (Extent{40, 25}));
   const ExtentList* self[] = {&a, &u};
   EXPECT_THROW(u.assign_union(self), Error);
+}
+
+// Wire blobs are adopted after one validating pass, never repaired: any
+// list that is not already normalized is a protocol error.
+TEST(ExtentList, AdoptTakesOnlyNormalizedRuns) {
+  EXPECT_TRUE(ExtentList::adopt({}).empty());
+  const std::vector<Extent> good = {{0, 4}, {5, 3}, {100, 1}};
+  const ExtentList l = ExtentList::adopt(good);
+  EXPECT_EQ(l.runs(), good);
+  EXPECT_EQ(l, ExtentList::normalize(good));
+  EXPECT_THROW(ExtentList::adopt({{10, 4}, {0, 4}}), Error);   // unsorted
+  EXPECT_THROW(ExtentList::adopt({{0, 8}, {4, 8}}), Error);    // overlapping
+  EXPECT_THROW(ExtentList::adopt({{0, 4}, {4, 4}}), Error);    // touching
+  EXPECT_THROW(ExtentList::adopt({{0, 4}, {6, 0}}), Error);    // empty run
+  EXPECT_THROW(ExtentList::adopt({{3, 0}}), Error);            // empty only
+  EXPECT_THROW(ExtentList::adopt({{0, 4}, {0, 4}}), Error);    // duplicate
 }
 
 TEST(ExtentList, Clipped) {
@@ -358,6 +374,41 @@ TEST_P(ExtentListProperty, NormalizeAndUnionMatchBruteForce) {
     u.assign_union(ptrs);
     expect_normalized(u);
     ASSERT_EQ(u, by_add);
+  }
+}
+
+// The exchange clips a validated plan — sorted, disjoint, non-empty runs
+// that may touch — per domain with one monotone cursor instead of
+// normalizing the whole plan first. Over ascending windows (gaps, single
+// bytes and spans wider than the plan included) the cursor must give
+// exactly the normalized plan's clip, as must a cursor over that list.
+TEST_P(ExtentListProperty, CursorOverPlanMatchesNormalizedClip) {
+  Rng rng(GetParam() * 43 + 7);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<Extent> plan;
+    std::uint64_t pos = rng.uniform_u64(16);
+    const auto n = rng.uniform_u64(40);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t len = 1 + rng.uniform_u64(12);
+      plan.push_back(Extent{pos, len});
+      // Half the runs touch their successor, the rest leave a gap.
+      pos += len + (rng.uniform_u64(2) == 0 ? 0 : 1 + rng.uniform_u64(8));
+    }
+    const ExtentList normalized = ExtentList::normalize(plan);
+    PlanCursor cursor(plan);
+    ExtentCursor list_cursor(normalized);
+    ExtentList clip;
+    std::uint64_t w = rng.uniform_u64(8);
+    while (w < pos + 16) {
+      const Extent window{w, 1 + rng.uniform_u64(24)};
+      const ExtentList want = normalized.clipped(window);
+      cursor.clipped_into(window, &clip);
+      ASSERT_EQ(clip, want) << "window " << window << " over plan of "
+                            << plan.size() << " runs";
+      list_cursor.clipped_into(window, &clip);
+      ASSERT_EQ(clip, want) << "window " << window << " over its list";
+      w = window.end() + rng.uniform_u64(4);
+    }
   }
 }
 

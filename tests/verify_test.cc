@@ -4,7 +4,9 @@
 // collectives must stay zero-finding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,7 +16,9 @@
 #include "io/mpi_file.h"
 #include "testing.h"
 #include "util/check.h"
+#include "util/extent.h"
 #include "util/payload.h"
+#include "util/rng.h"
 #include "verify/auditor.h"
 #include "workloads/ior.h"
 
@@ -385,6 +389,229 @@ TEST(Auditor, InterleavedEpochPinsFindings) {
   };
   EXPECT_EQ(got, want) << aud.report();
   EXPECT_EQ(aud.counters().collectives, 2u);
+}
+
+// --- Reference epoch close: every plan concatenated, normalized once ---
+
+/// a − b over normalized lists, carving each run of `a` by every run of
+/// `b` — quadratic, and independent of the auditor's sweep.
+util::ExtentList ref_subtract(const util::ExtentList& a,
+                              const util::ExtentList& b) {
+  std::vector<util::Extent> out;
+  for (const util::Extent& run : a.runs()) {
+    std::uint64_t pos = run.offset;
+    for (const util::Extent& cut : b.runs()) {
+      if (cut.end() <= pos || cut.offset >= run.end()) continue;
+      if (cut.offset > pos) out.push_back({pos, cut.offset - pos});
+      pos = std::max(pos, cut.end());
+    }
+    if (pos < run.end()) out.push_back({pos, run.end() - pos});
+  }
+  return util::ExtentList::normalize(std::move(out));
+}
+
+std::string ref_describe(const util::ExtentList& list) {
+  std::ostringstream os;
+  os << list.total_bytes() << " B in";
+  const auto& runs = list.runs();
+  for (std::size_t i = 0; i < runs.size() && i < 4; ++i) {
+    os << " [" << runs[i].offset << "," << runs[i].end() << ")";
+  }
+  if (runs.size() > 4) os << " ... (" << runs.size() << " runs total)";
+  return os.str();
+}
+
+using Logged = std::pair<int, util::Extent>;  ///< (reporting rank, extent)
+using Findings = std::vector<std::pair<std::string, std::string>>;
+
+/// One epoch's logs, as the observer hooks deliver them.
+struct EpochLog {
+  std::vector<std::vector<util::Extent>> plans;  ///< per rank, as given
+  std::vector<Logged> writes;
+  std::vector<Logged> reads;
+};
+
+std::vector<util::Extent> extents_of(const std::vector<Logged>& log) {
+  std::vector<util::Extent> out;
+  for (const auto& [r, e] : log) out.push_back(e);
+  return out;
+}
+
+/// The findings the concatenate-then-normalize close reports for `log`.
+Findings reference_close(const EpochLog& log, bool is_write,
+                         const std::string& where) {
+  Findings out;
+  auto report = [&](const char* kind, const char* what,
+                    const util::ExtentList& list) {
+    if (list.empty()) return;
+    out.emplace_back(kind, where + ": " + what + ": " + ref_describe(list));
+  };
+  std::vector<util::Extent> all;
+  for (const auto& p : log.plans) all.insert(all.end(), p.begin(), p.end());
+  const util::ExtentList planned = util::ExtentList::normalize(all);
+  const util::ExtentList read =
+      util::ExtentList::normalize(extents_of(log.reads));
+  if (!is_write) {
+    report("read-loss", "planned bytes never read from the PFS",
+           ref_subtract(planned, read));
+    return out;
+  }
+  // The first four doubly covered ranges of the fully sorted write log.
+  std::vector<util::Extent> sorted = extents_of(log.writes);
+  std::sort(sorted.begin(), sorted.end(), util::extent_less);
+  std::vector<util::Extent> dup;
+  std::uint64_t cover_end = 0;
+  bool any = false;
+  for (const util::Extent& e : sorted) {
+    if (e.empty()) continue;
+    if (any && e.offset < cover_end && dup.size() < 4) {
+      dup.push_back({e.offset, std::min(cover_end, e.end()) - e.offset});
+    }
+    cover_end = any ? std::max(cover_end, e.end()) : e.end();
+    any = true;
+  }
+  const util::ExtentList written = util::ExtentList::normalize(sorted);
+  report("byte-duplicate", "bytes written more than once",
+         util::ExtentList::normalize(dup));
+  report("byte-loss", "planned bytes never reached the PFS",
+         ref_subtract(planned, written));
+  const char* unplanned =
+      "bytes written that no rank planned and no read-modify-write pre-read";
+  report("unplanned-write", unplanned,
+         ref_subtract(ref_subtract(written, planned), read));
+  return out;
+}
+
+/// A random rank plan: empty, validated-style (sorted, touching runs), or
+/// raw (unsorted, overlapping, with empty extents).
+std::vector<util::Extent> random_plan(util::Rng& rng) {
+  std::vector<util::Extent> plan;
+  const auto n = rng.uniform_u64(10);
+  const auto shape = rng.uniform_u64(3);
+  if (shape == 1) {
+    std::uint64_t pos = rng.uniform_u64(512);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t len = 1 + rng.uniform_u64(32);
+      plan.push_back({pos, len});
+      pos += len + (rng.uniform_u64(2) == 0 ? 0 : rng.uniform_u64(48));
+    }
+  } else if (shape == 2) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      plan.push_back({rng.uniform_u64(1024), rng.uniform_u64(40)});
+    }
+  }
+  return plan;
+}
+
+/// A PFS log derived from the plans: each planned extent kept or split
+/// and, when `faulty`, also trimmed, dropped or doubled, plus some bytes
+/// nobody planned; logged by random ranks in random order.
+std::vector<Logged> random_log(
+    util::Rng& rng, const std::vector<std::vector<util::Extent>>& plans,
+    bool faulty) {
+  std::vector<util::Extent> out;
+  for (const auto& plan : plans) {
+    for (const util::Extent& e : plan) {
+      if (e.empty()) continue;
+      const std::uint64_t half = e.len / 2;
+      const util::Extent front{e.offset, half};
+      const util::Extent back{e.offset + half, e.len - half};
+      switch (faulty ? rng.uniform_u64(8) : 3 + rng.uniform_u64(5)) {
+        case 0:  // dropped
+          break;
+        case 1:  // trimmed
+          out.push_back(front);
+          break;
+        case 2:  // doubled
+          out.push_back(e);
+          out.push_back(e);
+          break;
+        case 3:  // split, back half first
+          out.push_back(back);
+          out.push_back(front);
+          break;
+        default:
+          out.push_back(e);
+      }
+    }
+  }
+  for (std::uint64_t i = faulty ? rng.uniform_u64(3) : 0; i > 0; --i) {
+    const std::uint64_t offset = rng.uniform_u64(1200);
+    out.push_back({offset, 1 + rng.uniform_u64(24)});
+  }
+  const auto ranks = static_cast<std::uint64_t>(plans.size());
+  std::vector<Logged> log;
+  for (const util::Extent& e : out) {
+    log.emplace_back(static_cast<int>(rng.uniform_u64(ranks)), e);
+  }
+  for (std::size_t i = log.size(); i > 1; --i) {
+    std::swap(log[i - 1], log[rng.uniform_u64(i)]);
+  }
+  return log;
+}
+
+/// The epoch close must report exactly what the close it replaced
+/// reported — concatenate every plan, normalize once, subtract — for
+/// plans that are unsorted, overlapping, touching or empty, ranks that
+/// overlap each other, and missing, doubled, unplanned and pre-read bytes.
+TEST(Auditor, PerRankCloseMatchesConcatenatedReference) {
+  const int fs_tag = 0;
+  const void* fs = &fs_tag;
+  const int file = 5;
+  util::Rng rng(20261020);
+  int with_findings = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int ranks = 1 + static_cast<int>(rng.uniform_u64(6));
+    const bool faulty = rng.uniform_u64(2) == 0;
+    verify::Auditor aud;
+    aud.set_deferred(true);
+    aud.on_engine_start(ranks);
+    Findings want;
+    for (const bool is_write : {true, false}) {
+      EpochLog log;
+      for (int r = 0; r < ranks; ++r) log.plans.push_back(random_plan(rng));
+      if (is_write) {
+        log.writes = random_log(rng, log.plans, faulty);
+        if (rng.uniform_u64(2) == 0) {
+          // Read-modify-write pre-reads, covering some unplanned bytes.
+          for (const auto& [r, e] : random_log(rng, log.plans, faulty)) {
+            log.reads.emplace_back(r, util::Extent{e.offset, e.len + 8});
+          }
+        }
+      } else {
+        log.reads = random_log(rng, log.plans, faulty);
+      }
+      for (int r = 0; r < ranks; ++r) {
+        aud.on_collective_begin(fs, file, is_write, ranks, r,
+                                log.plans[static_cast<std::size_t>(r)]);
+      }
+      for (const auto& [r, e] : log.writes) {
+        aud.on_actor_resumed(r, 0.0);
+        aud.on_pfs_write(fs, file, e.offset, e.len);
+      }
+      for (const auto& [r, e] : log.reads) {
+        aud.on_actor_resumed(r, 0.0);
+        aud.on_pfs_read(fs, file, e.offset, e.len);
+      }
+      for (int r = 0; r < ranks; ++r) {
+        aud.on_collective_end(fs, file, is_write, r);
+      }
+      const std::string where = is_write ? "collective write #0 on file 5"
+                                         : "collective read #0 on file 5";
+      for (auto& f : reference_close(log, is_write, where)) {
+        want.push_back(std::move(f));
+      }
+    }
+    Findings got;
+    for (const verify::Finding& f : aud.findings()) {
+      got.emplace_back(f.kind, f.message);
+    }
+    ASSERT_EQ(got, want) << "trial " << trial << "\n" << aud.report();
+    if (!want.empty()) ++with_findings;
+  }
+  // The generator must exercise both clean and violating closes.
+  EXPECT_GT(with_findings, 50);
+  EXPECT_GT(400 - with_findings, 50);
 }
 
 io::AccessPlan ior_factory(int rank, int nprocs,
